@@ -121,6 +121,6 @@ fi
 echo "==> [7/7] asan-ubsan build + fault-matrix resilience suite"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
-ctest --preset asan-ubsan -j "${JOBS}" -R 'Resilience|FaultInjection'
+ctest --preset asan-ubsan -j "${JOBS}" -R 'Resilience|FaultInjection|AsyncFifoStress'
 
 echo "==> all checks passed"

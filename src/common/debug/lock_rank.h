@@ -26,11 +26,11 @@ namespace apio::debug {
 /// so new ranks can slot in without renumbering.
 enum class LockRank : int {
   // -- VOL layer (outermost: entered from application threads) --------
-  kVolConnector = 10,   ///< AsyncConnector FIFO-order mutex
+  kVolConnector = 10,   ///< AsyncConnector FIFO list + record free list
   kVolCache = 14,       ///< AsyncConnector prefetch cache
   kVolEventSet = 18,    ///< EventSet request/error lists
   kVolTrace = 22,       ///< TraceRecorder event list
-  kVolStaging = 26,     ///< AsyncConnector back-pressure gate
+  kVolStaging = 26,     ///< AsyncConnector back-pressure + staging chunks
   // -- pmpi (rank threads; collectives never nest their locks) --------
   kPmpiSplit = 30,      ///< World split() rendezvous map
   kPmpiCollective = 34, ///< World collective exchange slots

@@ -464,6 +464,7 @@ Group Group::create_group(const std::string& child_name) {
                "name '" + child_name + "' already exists in group '" + node_->name + "'");
   auto child = std::make_unique<meta::GroupNode>();
   child->name = child_name;
+  child->parent = node_;
   meta::GroupNode* raw = child.get();
   node_->groups.emplace(child_name, std::move(child));
   return Group(file_, raw);
@@ -511,6 +512,7 @@ Dataset Group::create_dataset(const std::string& ds_name, Datatype dtype, Dims d
                "name '" + ds_name + "' already exists in group '" + node_->name + "'");
   auto ds = std::make_unique<meta::DatasetNode>();
   ds->name = ds_name;
+  ds->parent = node_;
   ds->dtype = dtype;
   ds->dims = std::move(dims);
   ds->layout = props.layout;
@@ -727,34 +729,26 @@ Dataset File::dataset_at(std::string_view path) {
   return g.open_dataset(std::string(path.substr(slash + 1)));
 }
 
-namespace {
-
-bool find_dataset_path(const meta::GroupNode& group, const void* target,
-                       std::string& path) {
-  for (const auto& [name, ds] : group.datasets) {
-    if (ds.get() == target) {
-      path = path.empty() ? name : path + "/" + name;
-      return true;
-    }
-  }
-  for (const auto& [name, child] : group.groups) {
-    std::string sub = path.empty() ? name : path + "/" + name;
-    std::string found = sub;
-    if (find_dataset_path(*child, target, found)) {
-      path = found;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 std::string File::path_of(const Dataset& ds) const {
-  std::lock_guard<std::mutex> lock(meta_mutex_);
-  std::string path;
-  if (!find_dataset_path(*root_, ds.object_key(), path)) {
+  if (ds.file_ != this || ds.node_ == nullptr) {
     throw NotFoundError("dataset handle does not belong to this file");
+  }
+  std::lock_guard<std::mutex> lock(meta_mutex_);
+  // Walk the parent links to the root: O(depth), one string build.
+  std::size_t length = ds.node_->name.size();
+  const meta::GroupNode* group = ds.node_->parent;
+  for (; group != nullptr && group->parent != nullptr; group = group->parent) {
+    length += group->name.size() + 1;
+  }
+  if (group != root_.get()) {
+    throw NotFoundError("dataset handle does not belong to this file");
+  }
+  std::string path(length, '/');
+  std::size_t end = length - ds.node_->name.size();
+  ds.node_->name.copy(path.data() + end, ds.node_->name.size());
+  for (group = ds.node_->parent; group->parent != nullptr; group = group->parent) {
+    end -= group->name.size() + 1;
+    group->name.copy(path.data() + end, group->name.size());
   }
   return path;
 }

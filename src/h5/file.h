@@ -12,6 +12,7 @@
 // concurrently from many ranks, the MPI-IO-style contract.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -215,7 +216,9 @@ class File : public std::enable_shared_from_this<File> {
 
   /// Inverse of dataset_at: full path of an open dataset handle
   /// ("a/b/d").  Throws NotFoundError when the handle does not belong
-  /// to this file.  Used by trace recording and diagnostics.
+  /// to this file.  O(depth): walks the nodes' parent links, so the
+  /// async connector can afford it on every op.  Like every other
+  /// handle operation it requires the dataset not to have been removed.
   std::string path_of(const Dataset& ds) const;
 
   /// Serialises metadata and flushes the backend (shadow update: data
@@ -268,7 +271,9 @@ class File : public std::enable_shared_from_this<File> {
   /// concurrently writable).
   mutable std::mutex filter_mutex_;
   std::uint64_t eof_ = 0;
-  bool open_ = false;
+  /// Atomic: handles check it on every use, and a close() may race a
+  /// thread that is about to find its handle invalid.
+  std::atomic<bool> open_{false};
 };
 
 template <typename T>

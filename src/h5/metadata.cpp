@@ -120,12 +120,14 @@ std::unique_ptr<GroupNode> get_group(ByteReader& in) {
   const std::uint32_t ndatasets = in.get_u32();
   for (std::uint32_t i = 0; i < ndatasets; ++i) {
     auto ds = get_dataset(in);
+    ds->parent = group.get();
     std::string name = ds->name;
     group->datasets.emplace(std::move(name), std::move(ds));
   }
   const std::uint32_t ngroups = in.get_u32();
   for (std::uint32_t i = 0; i < ngroups; ++i) {
     auto child = get_group(in);
+    child->parent = group.get();
     std::string name = child->name;
     group->groups.emplace(std::move(name), std::move(child));
   }

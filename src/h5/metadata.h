@@ -35,9 +35,13 @@ struct ChunkLocation {
   std::uint64_t allocated_size = 0;
 };
 
+struct GroupNode;
+
 /// A dataset's metadata: shape, layout, filter and raw-data location.
 struct DatasetNode {
   std::string name;
+  /// Containing group (in-memory only; never serialised).
+  GroupNode* parent = nullptr;
   Datatype dtype = Datatype::kUInt8;
   Dims dims;
   Layout layout = Layout::kContiguous;
@@ -57,6 +61,8 @@ struct DatasetNode {
 /// A group: named container of groups and datasets.
 struct GroupNode {
   std::string name;
+  /// Containing group; null for the root (in-memory only).
+  GroupNode* parent = nullptr;
   std::map<std::string, std::unique_ptr<GroupNode>> groups;
   std::map<std::string, std::unique_ptr<DatasetNode>> datasets;
   std::vector<AttributeNode> attributes;

@@ -29,9 +29,9 @@ class Pool {
   void push(TaskFn task);
 
   /// Enqueues a task unless the pool is closed; returns false instead of
-  /// throwing in that case.  Used by code that schedules follow-up work
-  /// from continuations (e.g. retry re-enqueue) and must degrade
-  /// gracefully when it races shutdown.
+  /// throwing in that case.  For code that schedules follow-up work
+  /// from continuations and must degrade gracefully when it races
+  /// shutdown.
   bool try_push(TaskFn task);
 
   /// Blocks for the next task.  Returns nullopt when the pool is closed

@@ -1,8 +1,8 @@
 #include "vol/async_connector.h"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
-#include <sstream>
 
 #include "common/debug/invariant.h"
 #include "common/debug/thread_role.h"
@@ -66,16 +66,36 @@ obs::Counter& io_degraded_counter() {
 }
 
 /// Byte offset of the selection's first element within the dataset's
-/// linearized (row-major) extent; 0 for an all-selection.
+/// linearized (row-major) extent; 0 for an all-selection.  Computes the
+/// row pitches on the fly rather than materializing them.
 std::uint64_t selection_offset_bytes(const h5::Dataset& ds,
                                      const h5::Selection& selection) {
   if (selection.is_all()) return 0;
-  const auto pitches = h5::row_pitches(ds.dims());
+  const h5::Dims& dims = ds.dims();
   const h5::Dims& start = selection.slab().start;
   std::uint64_t elems = 0;
-  const std::size_t rank = std::min(start.size(), pitches.size());
-  for (std::size_t i = 0; i < rank; ++i) elems += start[i] * pitches[i];
+  std::uint64_t pitch = 1;
+  for (std::size_t i = dims.size(); i-- > 0;) {
+    if (i < start.size()) elems += start[i] * pitch;
+    pitch *= dims[i];
+  }
   return elems * ds.element_size();
+}
+
+/// Identity of one op, captured at issue time unconditionally: failures
+/// must carry it even when no observer is attached (the background
+/// stream has no business touching the container's path index).
+/// Throws NotFoundError for a dataset handle of another file.
+RequestInfo request_info(obs::IoOp kind, const h5::File& file,
+                         const h5::Dataset& ds, const h5::Selection& selection,
+                         std::uint64_t bytes) {
+  RequestInfo info;
+  info.op = kind;
+  info.dataset_path = file.path_of(ds);
+  info.selection = selection_to_token(selection);
+  info.offset = selection_offset_bytes(ds, selection);
+  info.bytes = bytes;
+  return info;
 }
 
 const char* execute_label(obs::IoOp kind) {
@@ -88,43 +108,81 @@ const char* execute_label(obs::IoOp kind) {
   return "execute";
 }
 
+/// Chunks grow geometrically from the first write's size up to this
+/// cap, so retained staging tracks the staged high-water mark.
+constexpr std::size_t kStagingChunkBytes = 64 * 1024;
+
+obs::Gauge& staged_outstanding_gauge() {
+  static auto& g = obs::Registry::instance().gauge("vol.async.staged_outstanding");
+  return g;
+}
+
 }  // namespace
 
 struct AsyncConnector::AsyncOp {
   obs::IoOp kind = obs::IoOp::kWrite;
-  std::optional<h5::Dataset> ds;
+  h5::Dataset ds;
+  /// Reassigned per use, so its dim vectors keep their capacity.
   h5::Selection selection = h5::Selection::all();
-  /// Write payload when staging in DRAM.
-  std::shared_ptr<std::vector<std::byte>> staged;
+  /// Write payload in connector-owned staging (DRAM path).
+  std::span<const std::byte> staged;
+  StagingChunk* staged_chunk = nullptr;
   /// Write payload location when staging on a device.
   std::uint64_t device_offset = 0;
+  /// True while the op's bytes count against back-pressure.
+  bool holds_staging = false;
   /// Read destination (caller-owned until completion).
   std::span<std::byte> out;
   /// Prefetch destination (cache-owned).
   std::shared_ptr<std::vector<std::byte>> buffer;
   std::uint64_t bytes = 0;
 
-  tasking::EventualPtr done;
-  RequestInfo info;
-  RequestOutcomePtr outcome;
+  RequestPtr request;
   /// Fair-share identity captured at issue time; re-bound on the
-  /// background stream around every attempt so a QosBackend under the
-  /// file charges the issuing tenant.
+  /// background stream around the op so a QosBackend under the file
+  /// charges the issuing tenant.
   sched::SubmissionContext submission;
-  std::unique_ptr<resilience::RetrySession> session;
-  /// Observer record emission; run on final success only.
-  std::function<void()> on_complete;
+  /// Present only when retry or a breaker is configured.
+  std::optional<resilience::RetrySession> session;
+
+  /// Observer record inputs, captured at issue when someone observes.
+  bool observed = false;
+  int ranks = 1;
+  int origin_rank = 0;
+  double issue_time = 0.0;
+  double blocking_seconds = 0.0;
 
   /// Causal trace identity, minted at submission; re-bound alongside
-  /// the submission context around every attempt.
+  /// the submission context on the stream.
   obs::trace::TraceContext trace;
   double trace_start = 0.0;       ///< root span start (steady_seconds)
   double fifo_enqueue_time = 0.0; ///< FIFO-wait phase anchor
-  double pool_push_time = 0.0;    ///< pool-wait phase anchor
+
+  std::uint64_t seq = 0;      ///< FIFO sequence number
+  AsyncOp* next = nullptr;    ///< FIFO or free-list link
+  bool idle = false;          ///< on the free list (or about to be)
 };
 
+struct AsyncConnector::StagingChunk {
+  std::unique_ptr<std::byte[]> bytes;
+  std::size_t capacity = 0;
+  std::size_t used = 0;
+  std::size_t live = 0;  ///< staged writes still holding bytes here
+};
+
+void AsyncConnector::OpReturner::operator()(AsyncOp* op) const {
+  if (op->holds_staging) owner->release_staging(*op, /*rejected=*/true);
+  op->request.reset();
+  op->buffer.reset();
+  op->session.reset();
+  std::lock_guard lock(owner->order_mutex_);
+  op->idle = true;
+  op->next = owner->free_ops_;
+  owner->free_ops_ = op;
+}
+
 /// Records the completion phase and seals the op's trace.  Must run
-/// before the eventual fires so waiters observe a sealed trace.
+/// before the request resolves so waiters observe a sealed trace.
 void AsyncConnector::seal_trace(const AsyncOp& op, bool failed,
                                 double completion_start) {
   if (!op.trace.recording()) return;
@@ -145,10 +203,11 @@ AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
       clock_(clock != nullptr ? clock : &wall_clock_) {
   APIO_REQUIRE(file_ != nullptr, "AsyncConnector requires an open file");
   options_.retry.validate();
+  retry_configured_ =
+      options_.retry.retries_enabled() || options_.breaker != nullptr;
   const double t0 = clock_->now();
   pool_ = std::make_shared<tasking::Pool>();
   stream_ = std::make_unique<tasking::ExecutionStream>(pool_);
-  last_op_ = tasking::Eventual::make_ready();
   std::lock_guard lock(stats_mutex_);
   stats_.init_seconds = clock_->now() - t0;
 }
@@ -163,17 +222,70 @@ AsyncConnector::~AsyncConnector() {
 }
 
 void AsyncConnector::shutdown_machinery() {
-  if (closed_.exchange(true)) return;
+  {
+    std::lock_guard lock(order_mutex_);
+    if (closed_.exchange(true)) return;
+  }
   const double t0 = clock_->now();
   wait_all();
   stream_->shutdown();
   clear_cache();
+  release_idle_memory();
   std::lock_guard lock(stats_mutex_);
   stats_.term_seconds = clock_->now() - t0;
 }
 
-void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op) {
+void AsyncConnector::release_idle_memory() {
+  {
+    std::lock_guard lock(order_mutex_);
+    free_ops_ = nullptr;
+    std::erase_if(ops_, [](const std::unique_ptr<AsyncOp>& op) { return op->idle; });
+  }
+  std::lock_guard lock(staging_mutex_);
+  free_staging_chunks_.clear();
+  if (staging_chunk_ != nullptr && staging_chunk_->live == 0) staging_chunk_ = nullptr;
+  std::erase_if(staging_chunks_, [this](const std::unique_ptr<StagingChunk>& chunk) {
+    return chunk->live == 0 && chunk.get() != staging_chunk_;
+  });
+}
+
+AsyncConnector::OpHandle AsyncConnector::new_op(obs::IoOp kind) {
   if (closed_.load()) throw StateError("AsyncConnector used after close()");
+  AsyncOp* op = nullptr;
+  {
+    std::lock_guard lock(order_mutex_);
+    if (free_ops_ != nullptr) {
+      op = free_ops_;
+      free_ops_ = op->next;
+      op->idle = false;  // under the lock: shutdown frees idle records
+    }
+  }
+  if (op == nullptr) {
+    auto fresh = std::make_unique<AsyncOp>();
+    op = fresh.get();
+    std::lock_guard lock(order_mutex_);
+    ops_.push_back(std::move(fresh));
+  }
+  op->next = nullptr;
+  op->kind = kind;
+  op->bytes = 0;
+  op->observed = false;
+  op->trace = obs::trace::TraceCollector::instance().start_trace();
+  if (op->trace.recording()) op->trace_start = obs::steady_seconds();
+  return OpHandle(op, OpReturner{this});
+}
+
+void AsyncConnector::capture_observed(AsyncOp& op, double issue_time,
+                                      double blocking_seconds) {
+  op.observed = has_observers();
+  if (!op.observed) return;
+  op.ranks = reported_ranks();
+  op.origin_rank = obs::thread_rank();
+  op.issue_time = issue_time;
+  op.blocking_seconds = blocking_seconds;
+}
+
+void AsyncConnector::enqueue_op(OpHandle op) {
   obs::ScopedSpan span("enqueue", obs::Category::kVol);
 
   // Submission identity, resolved at issue time: connector-level tenant
@@ -181,45 +293,104 @@ void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op) {
   // lane (they are the latency-sensitive barrier ops the fairness gate
   // protects); the op's admission deadline is the same issue-anchored
   // budget its retries run under.
-  if (const sched::SubmissionContext* ctx = sched::current_submission()) {
-    op->submission = *ctx;
+  const sched::SubmissionContext* ctx = sched::current_submission();
+  if (!options_.tenant.empty()) {
+    op->submission.tenant = options_.tenant;
+  } else if (ctx != nullptr) {
+    op->submission.tenant = ctx->tenant;
+  } else {
+    op->submission.tenant.clear();
   }
-  if (!options_.tenant.empty()) op->submission.tenant = options_.tenant;
-  op->submission.lane = op->kind == obs::IoOp::kFlush
-                            ? sched::Lane::kPriority
-                            : sched::Lane::kBulk;
+  op->submission.lane = op->kind == obs::IoOp::kFlush ? sched::Lane::kPriority
+                                                      : sched::Lane::kBulk;
+  op->submission.deadline = ctx != nullptr ? ctx->deadline : 0.0;
   if (options_.retry.deadline_seconds > 0.0) {
     op->submission.deadline =
         sched::IoRequest::deadline_from(options_.retry, clock_->now());
   }
+  if (retry_configured_) {
+    op->session.emplace(options_.retry, clock_,
+                        options_.sleeper != nullptr ? options_.sleeper
+                                                    : &resilience::wall_sleeper(),
+                        options_.breaker.get());
+  }
+  if (op->trace.recording()) op->fifo_enqueue_time = obs::steady_seconds();
 
-  op->done = tasking::Eventual::make();
-  op->outcome = std::make_shared<RequestOutcome>();
-  op->session = std::make_unique<resilience::RetrySession>(
-      options_.retry, clock_,
-      options_.sleeper != nullptr ? options_.sleeper
-                                  : &resilience::wall_sleeper(),
-      options_.breaker.get());
-
-  op->fifo_enqueue_time = obs::steady_seconds();
-
-  std::lock_guard lock(order_mutex_);
-  tasking::EventualPtr prev = last_op_;
-  last_op_ = op->done;
-  // FIFO chain: the new op enters the pool only when its predecessor
-  // reached its final outcome (including any retries).  A predecessor
-  // failure does not cancel successors — the async VOL records errors
-  // per operation, it does not poison the queue.
-  prev->on_ready([this, op = std::move(op)]() mutable {
-    op->pool_push_time = obs::steady_seconds();
-    obs::trace::record_phase(op->trace, obs::trace::Phase::kFifoWait,
-                             op->fifo_enqueue_time,
-                             op->pool_push_time - op->fifo_enqueue_time);
-    if (!pool_->try_push([this, op] { run_attempt(op); })) {
-      finish_failure(op, std::make_exception_ptr(StateError(
-                             "async operation dropped: connector shut down")));
+  bool start_drain = false;
+  {
+    std::lock_guard lock(order_mutex_);
+    // When close() won the race after new_op(), the op stays in the
+    // handle: it is rejected below, recycled and its staging released.
+    if (!closed_.load()) {
+      AsyncOp* raw = op.release();
+      raw->seq = ++submitted_;
+      if (fifo_tail_ != nullptr) {
+        fifo_tail_->next = raw;
+      } else {
+        fifo_head_ = raw;
+      }
+      fifo_tail_ = raw;
+      switch (raw->kind) {
+        case obs::IoOp::kWrite: ++writes_enqueued_; break;
+        case obs::IoOp::kRead: ++reads_enqueued_; break;
+        case obs::IoOp::kPrefetch: ++prefetches_enqueued_; break;
+        case obs::IoOp::kFlush: break;
+      }
+      // A predecessor failure does not cancel successors — the async
+      // VOL records errors per operation, it does not poison the queue.
+      if (!draining_) {
+        draining_ = true;
+        start_drain = true;
+      }
     }
-  });
+  }
+  if (op != nullptr) throw StateError("AsyncConnector used after close()");
+  // Only the idle->busy edge schedules a drain.  The pool cannot have
+  // closed here: shutdown waits for this op before closing it.
+  if (start_drain) pool_->push([this] { drain(); });
+}
+
+void AsyncConnector::drain() {
+  APIO_ASSERT_ON_STREAM();
+  for (;;) {
+    AsyncOp* burst = nullptr;
+    {
+      std::lock_guard lock(order_mutex_);
+      burst = fifo_head_;
+      if (burst == nullptr) {
+        draining_ = false;
+        return;
+      }
+      fifo_head_ = fifo_tail_ = nullptr;
+    }
+    // Each op runs to its final outcome (retries included) before its
+    // successor starts: successors wait out predecessor retries.
+    AsyncOp* last = burst;
+    for (AsyncOp* op = burst; op != nullptr; op = op->next) {
+      run_op(*op);
+      op->idle = true;
+      last = op;
+    }
+    bool wake = false;
+    {
+      std::lock_guard lock(order_mutex_);
+      completed_ = last->seq;
+      last->next = free_ops_;
+      free_ops_ = burst;
+      wake = drain_waiters_ > 0;
+    }
+    if (wake) drained_cv_.notify_all();
+  }
+}
+
+void AsyncConnector::write_staged(AsyncOp& op) {
+  if (options_.staging_backend) {
+    std::vector<std::byte> from_device(op.bytes);
+    options_.staging_backend->read(op.device_offset, from_device);
+    op.ds.write_raw(op.selection, from_device);
+  } else {
+    op.ds.write_raw(op.selection, op.staged);
+  }
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
@@ -229,19 +400,13 @@ void AsyncConnector::execute_op(AsyncOp& op) {
       op.bytes);
   switch (op.kind) {
     case obs::IoOp::kWrite:
-      if (options_.staging_backend) {
-        std::vector<std::byte> from_device(op.bytes);
-        options_.staging_backend->read(op.device_offset, from_device);
-        op.ds->write_raw(op.selection, from_device);
-      } else {
-        op.ds->write_raw(op.selection, *op.staged);
-      }
+      write_staged(op);
       break;
     case obs::IoOp::kRead:
-      op.ds->read_raw(op.selection, op.out);
+      op.ds.read_raw(op.selection, op.out);
       break;
     case obs::IoOp::kPrefetch:
-      op.ds->read_raw(op.selection, *op.buffer);
+      op.ds.read_raw(op.selection, *op.buffer);
       break;
     case obs::IoOp::kFlush:
       file_->flush();
@@ -249,218 +414,166 @@ void AsyncConnector::execute_op(AsyncOp& op) {
   }
 }
 
-void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
-  APIO_ASSERT_ON_STREAM();
+void AsyncConnector::run_op(AsyncOp& op) {
   // Background threads do not inherit the issuer's thread-local
-  // submission binding; restore it for the whole attempt (storage
-  // transfer AND sync-fallback replay) so QosBackend admission charges
-  // the right tenant.
-  sched::ScopedSubmission bind(op->submission);
-  // Re-bind the trace next to the submission identity and close the
-  // pool-wait gap (push time -> this pickup).
-  obs::trace::ScopedTraceContext trace_bind(op->trace);
-  if (op->pool_push_time > 0.0) {
-    const double picked_up = obs::steady_seconds();
-    obs::trace::record_phase(op->trace, obs::trace::Phase::kPoolWait,
-                             op->pool_push_time,
-                             picked_up - op->pool_push_time);
-    op->pool_push_time = 0.0;
+  // submission binding; restore it for the whole op (every attempt AND
+  // the sync-fallback replay) so QosBackend admission charges the right
+  // tenant.  The trace is re-bound next to it.
+  sched::ScopedSubmission bind(op.submission);
+  obs::trace::ScopedTraceContext trace_bind(op.trace);
+  if (op.trace.recording()) {
+    // FIFO wait: queued until the predecessor finished.  Pool wait:
+    // from then until this stream picked the op up.
+    const double now = obs::steady_seconds();
+    const double ready = std::max(op.fifo_enqueue_time, last_finish_);
+    obs::trace::record_phase(op.trace, obs::trace::Phase::kFifoWait,
+                             op.fifo_enqueue_time,
+                             ready - op.fifo_enqueue_time);
+    obs::trace::record_phase(op.trace, obs::trace::Phase::kPoolWait, ready,
+                             now - ready);
   }
-  try {
-    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes);
-    op->session->check_breaker();
-    execute_op(*op);
-    attempt.finish();
-    op->session->note_success();
-    finish_success(op);
-    return;
-  } catch (...) {
-    std::exception_ptr error = std::current_exception();
-    if (op->session->backoff_and_retry(error)) {
-      // Re-enqueue the same op; when the pool closed under us (shutdown
-      // racing a retry) fail the request instead of wedging the drain.
-      op->pool_push_time = obs::steady_seconds();
-      if (pool_->try_push([this, op] { run_attempt(op); })) return;
-      error = std::make_exception_ptr(
-          StateError("async retry abandoned: connector shut down"));
+  std::exception_ptr error;
+  for (;;) {
+    try {
+      obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op.bytes);
+      if (op.session) op.session->check_breaker();
+      execute_op(op);
+      attempt.finish();
+      if (op.session) op.session->note_success();
+      error = nullptr;
+      break;
+    } catch (...) {
+      error = std::current_exception();
+      // In-place retry: the session sleeps the backoff on this stream,
+      // stalling the FIFO exactly like a storage target that is down.
+      if (!op.session || !op.session->backoff_and_retry(error)) break;
     }
-    // Policy exhausted (or error permanent / deadline overrun).
-    if (op->kind == obs::IoOp::kWrite && options_.sync_fallback) {
-      try {
-        // Degraded mode: replay the staged buffer through the native
-        // synchronous path, outside policy and breaker — the last
-        // resort before reporting data loss.
-        obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback,
-                                         op->bytes);
-        if (options_.staging_backend) {
-          std::vector<std::byte> from_device(op->bytes);
-          options_.staging_backend->read(op->device_offset, from_device);
-          op->ds->write_raw(op->selection, from_device);
-        } else {
-          op->ds->write_raw(op->selection, *op->staged);
-        }
-        fallback.finish();
-        op->outcome->degraded = true;
-        finish_success(op);
-        return;
-      } catch (...) {
-        error = std::current_exception();
-      }
+  }
+  bool degraded = false;
+  if (error && op.kind == obs::IoOp::kWrite && options_.sync_fallback) {
+    try {
+      // Degraded mode: replay the staged bytes through the native
+      // synchronous path, outside policy and breaker — the last resort
+      // before reporting data loss.
+      obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback, op.bytes);
+      write_staged(op);
+      fallback.finish();
+      degraded = true;
+      error = nullptr;
+    } catch (...) {
+      error = std::current_exception();
     }
-    finish_failure(op, std::move(error));
+  }
+  finish(op, std::move(error), degraded);
+  if (obs::trace::TraceCollector::instance().enabled()) {
+    last_finish_ = obs::steady_seconds();
   }
 }
 
-void AsyncConnector::finish_success(const std::shared_ptr<AsyncOp>& op) {
-  const double completion_start = obs::steady_seconds();
-  // The outcome must be fully written before the eventual completes:
-  // completion is the release point observers synchronize on.
-  op->outcome->attempts = std::max(op->session->attempts(), 1);
-  op->outcome->deadline_exhausted = op->session->deadline_exhausted();
-  const std::uint64_t retries =
-      static_cast<std::uint64_t>(op->outcome->attempts - 1);
-  if (op->kind == obs::IoOp::kWrite) {
-    op->staged.reset();
-    note_unstaged(op->bytes);
+void AsyncConnector::finish(AsyncOp& op, std::exception_ptr error,
+                            bool degraded) {
+  const double completion_start =
+      op.trace.recording() ? obs::steady_seconds() : 0.0;
+  const bool failed = error != nullptr;
+  RequestOutcome outcome;
+  if (op.session) {
+    outcome.attempts = std::max(op.session->attempts(), 1);
+    outcome.deadline_exhausted = op.session->deadline_exhausted();
   }
+  outcome.degraded = degraded;
+  const auto retries = static_cast<std::uint64_t>(outcome.attempts - 1);
+  if (op.holds_staging) release_staging(op, /*rejected=*/false);
   if (obs::enabled()) {
     if (retries > 0) retries_counter().add(retries);
-    if (op->outcome->degraded) {
+    if (degraded) {
       degraded_counter().increment();
       io_degraded_counter().increment();
     }
+    if (failed) failed_counter().increment();
   }
-  {
+  if (retries > 0 || degraded || failed) {
     std::lock_guard lock(stats_mutex_);
     stats_.retries += retries;
-    if (op->outcome->degraded) ++stats_.degraded_ops;
+    if (degraded) ++stats_.degraded_ops;
+    if (failed) ++stats_.failed_ops;
   }
-  if (op->on_complete) op->on_complete();
-  seal_trace(*op, /*failed=*/false, completion_start);
-  op->done->set();
-}
-
-void AsyncConnector::finish_failure(const std::shared_ptr<AsyncOp>& op,
-                                    std::exception_ptr error) {
-  const double completion_start = obs::steady_seconds();
-  op->outcome->attempts = std::max(op->session->attempts(), 1);
-  op->outcome->deadline_exhausted = op->session->deadline_exhausted();
-  const std::uint64_t retries =
-      static_cast<std::uint64_t>(op->outcome->attempts - 1);
-  if (op->kind == obs::IoOp::kWrite) {
-    op->staged.reset();
-    note_unstaged(op->bytes);
+  if (!failed && op.observed) {
+    // Observer records are emitted on final success only.
+    const RequestInfo& info = op.request->info();
+    IoRecord record;
+    record.op = op.kind;
+    record.dataset_path = info.dataset_path;
+    record.selection = info.selection;
+    record.bytes = op.bytes;
+    record.ranks = op.ranks;
+    record.origin_rank = op.origin_rank;
+    record.issue_time = op.issue_time;
+    record.blocking_seconds = op.blocking_seconds;
+    record.completion_seconds = clock_->now() - op.issue_time;
+    record.async = true;
+    record.trace_id = op.trace.trace_id;
+    record.span_id = op.trace.span_id;
+    observe(record);
   }
-  if (obs::enabled()) {
-    if (retries > 0) retries_counter().add(retries);
-    failed_counter().increment();
-  }
-  {
-    std::lock_guard lock(stats_mutex_);
-    stats_.retries += retries;
-    ++stats_.failed_ops;
-  }
-  seal_trace(*op, /*failed=*/true, completion_start);
-  op->done->set_error(std::move(error));
+  seal_trace(op, failed, completion_start);
+  op.request->resolve(outcome, std::move(error));
+  op.request.reset();
+  op.buffer.reset();
+  op.session.reset();
 }
 
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<const std::byte> data) {
   const double t0 = clock_->now();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
+  OpHandle op = new_op(obs::IoOp::kWrite);
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit,
                                        data.size());
-
-  // The transactional copy: a non-zero-copy into a private staging area
-  // so the caller may immediately reuse (or mutate) its memory while
-  // the background thread performs the actual storage transfer.  The
-  // staging area is either a DRAM buffer or, when configured, a
-  // node-local staging device (SSD) region.
-  note_staged(data.size());
-  op->kind = obs::IoOp::kWrite;
+  // Everything that can reject the write runs before the staging copy,
+  // so a rejected write never holds back-pressure budget.
+  auto request = std::make_shared<Request>(
+      request_info(obs::IoOp::kWrite, *file_, ds, selection, data.size()));
   op->ds = ds;
   op->selection = selection;
   op->bytes = data.size();
+  op->request = request;
   {
+    // The transactional copy: a non-zero-copy into connector-owned
+    // staging so the caller may immediately reuse (or mutate) its
+    // memory while the background thread performs the actual storage
+    // transfer.  The staging area is either DRAM or, when configured, a
+    // node-local staging device (SSD) region.
     obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy,
                                        data.size());
     obs::TimedOp stage_op("stage_copy", obs::Category::kVol, stage_hist(),
                           &staged_bytes_counter(), data.size());
-    if (options_.staging_backend) {
-      op->device_offset = staging_device_offset_.fetch_add(data.size());
-      options_.staging_backend->write(op->device_offset, data);
-    } else {
-      op->staged =
-          std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
-    }
+    stage(*op, data);
   }
-  const double blocking = clock_->now() - t0;
-
-  // Identity is captured at issue time unconditionally — failures must
-  // carry it even when no observer is attached (the background stream
-  // has no business touching the container's path index).
-  op->info.op = obs::IoOp::kWrite;
-  op->info.dataset_path = file_->path_of(ds);
-  op->info.selection = selection_to_token(selection);
-  op->info.offset = selection_offset_bytes(ds, selection);
-  op->info.bytes = data.size();
-
-  if (has_observers()) {
-    op->on_complete = [this, t0, blocking, bytes = data.size(),
-                       ranks = reported_ranks(),
-                       origin_rank = obs::thread_rank(),
-                       path = op->info.dataset_path,
-                       token = op->info.selection,
-                       trace_id = op->trace.trace_id,
-                       span_id = op->trace.span_id] {
-      IoRecord record;
-      record.op = IoOp::kWrite;
-      record.dataset_path = path;
-      record.selection = token;
-      record.bytes = bytes;
-      record.ranks = ranks;
-      record.origin_rank = origin_rank;
-      record.issue_time = t0;
-      record.blocking_seconds = blocking;
-      record.completion_seconds = clock_->now() - t0;
-      record.async = true;
-      record.trace_id = trace_id;
-      record.span_id = span_id;
-      observe(record);
-    };
-  }
-
-  auto request_info = op->info;
-  enqueue_op(op);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.writes_enqueued;
-  }
-  return std::make_shared<Request>(op->done, std::move(request_info),
-                                   op->outcome);
+  capture_observed(*op, t0, clock_->now() - t0);
+  enqueue_op(std::move(op));
+  return request;
 }
 
 RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
                                         const h5::Selection& selection,
                                         std::span<std::byte> out) {
   const double t0 = clock_->now();
-  const std::string key = cache_key(ds, selection);
 
   // Prefetch-cache hit: the data was pulled into node-local memory
-  // during a previous compute phase; serve it with a memcpy.
+  // during a previous compute phase; serve it with a memcpy.  No key is
+  // built while nothing is prefetched.
   CacheEntry entry;
   bool hit = false;
   {
     std::lock_guard lock(cache_mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      entry = it->second;
-      cache_.erase(it);
-      hit = true;
+    if (!cache_.empty()) {
+      auto it = cache_.find(cache_key(ds, selection));
+      if (it != cache_.end()) {
+        entry = std::move(it->second);
+        cache_.erase(it);
+        hit = true;
+      }
     }
   }
   if (hit) {
@@ -492,97 +605,49 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
       std::lock_guard lock(stats_mutex_);
       ++stats_.cache_hits;
     }
-    RequestInfo info;
-    info.op = obs::IoOp::kRead;
-    info.dataset_path = file_->path_of(ds);
-    info.selection = selection_to_token(selection);
-    info.offset = selection_offset_bytes(ds, selection);
-    info.bytes = out.size();
-    return std::make_shared<Request>(tasking::Eventual::make_ready(),
-                                     std::move(info));
+    return Request::completed(
+        request_info(obs::IoOp::kRead, *file_, ds, selection, out.size()));
   }
 
   if (obs::enabled()) prefetch_misses_counter().increment();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
+  OpHandle op = new_op(obs::IoOp::kRead);
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, out.size());
-  op->kind = obs::IoOp::kRead;
+  auto request = std::make_shared<Request>(
+      request_info(obs::IoOp::kRead, *file_, ds, selection, out.size()));
   op->ds = ds;
   op->selection = selection;
   op->out = out;
   op->bytes = out.size();
-  op->info.op = obs::IoOp::kRead;
-  op->info.dataset_path = file_->path_of(ds);
-  op->info.selection = selection_to_token(selection);
-  op->info.offset = selection_offset_bytes(ds, selection);
-  op->info.bytes = out.size();
-
-  if (has_observers()) {
-    op->on_complete = [this, t0, bytes = out.size(), ranks = reported_ranks(),
-                       origin_rank = obs::thread_rank(),
-                       path = op->info.dataset_path,
-                       token = op->info.selection,
-                       trace_id = op->trace.trace_id,
-                       span_id = op->trace.span_id] {
-      IoRecord record;
-      record.op = IoOp::kRead;
-      record.dataset_path = path;
-      record.selection = token;
-      record.bytes = bytes;
-      record.ranks = ranks;
-      record.origin_rank = origin_rank;
-      record.issue_time = t0;
-      record.blocking_seconds = 0.0;  // caller was not blocked
-      record.completion_seconds = clock_->now() - t0;
-      record.async = true;
-      record.trace_id = trace_id;
-      record.span_id = span_id;
-      observe(record);
-    };
-  }
-
-  auto request_info = op->info;
-  enqueue_op(op);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.reads_enqueued;
-    ++stats_.cache_misses;
-  }
-  return std::make_shared<Request>(op->done, std::move(request_info),
-                                   op->outcome);
+  op->request = request;
+  capture_observed(*op, t0, /*blocking_seconds=*/0.0);  // caller not blocked
+  enqueue_op(std::move(op));
+  return request;
 }
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   const double t0 = clock_->now();
-  const std::string key = cache_key(ds, selection);
+  CacheKey key = cache_key(ds, selection);
   {
     std::lock_guard lock(cache_mutex_);
     if (cache_.count(key) > 0) return;  // already in flight
   }
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
+  OpHandle op = new_op(obs::IoOp::kPrefetch);
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, bytes);
-  op->kind = obs::IoOp::kPrefetch;
+  auto request = std::make_shared<Request>(
+      request_info(obs::IoOp::kPrefetch, *file_, ds, selection, bytes));
+  auto buffer = std::make_shared<std::vector<std::byte>>(bytes);
   op->ds = ds;
   op->selection = selection;
-  op->buffer = std::make_shared<std::vector<std::byte>>(bytes);
+  op->buffer = buffer;
   op->bytes = bytes;
-  op->info.op = obs::IoOp::kPrefetch;
-  op->info.dataset_path = file_->path_of(ds);
-  op->info.selection = selection_to_token(selection);
-  op->info.offset = selection_offset_bytes(ds, selection);
-  op->info.bytes = bytes;
-
-  auto buffer = op->buffer;
-  enqueue_op(op);
+  op->request = request;
+  enqueue_op(std::move(op));
   {
     std::lock_guard lock(cache_mutex_);
-    cache_.emplace(key, CacheEntry{op->done, buffer});
+    cache_.emplace(std::move(key), CacheEntry{request, std::move(buffer)});
   }
   if (has_observers()) {
     IoRecord record;
@@ -594,93 +659,136 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
     record.blocking_seconds = clock_->now() - t0;
     record.async = true;
     if (observers_want_detail()) {
-      record.dataset_path = op->info.dataset_path;
-      record.selection = op->info.selection;
+      record.dataset_path = request->info().dataset_path;
+      record.selection = request->info().selection;
     }
     observe(record);
   }
-  std::lock_guard lock(stats_mutex_);
-  ++stats_.prefetches_enqueued;
 }
 
 RequestPtr AsyncConnector::flush() {
   const double t0 = clock_->now();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
+  OpHandle op = new_op(obs::IoOp::kFlush);
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit);
-  op->kind = obs::IoOp::kFlush;
-  op->info.op = obs::IoOp::kFlush;
-
-  if (has_observers()) {
-    op->on_complete = [this, t0, ranks = reported_ranks(),
-                       origin_rank = obs::thread_rank(),
-                       trace_id = op->trace.trace_id,
-                       span_id = op->trace.span_id] {
-      IoRecord record;
-      record.op = IoOp::kFlush;
-      record.trace_id = trace_id;
-      record.span_id = span_id;
-      record.ranks = ranks;
-      record.origin_rank = origin_rank;
-      record.issue_time = t0;
-      record.blocking_seconds = 0.0;  // caller was not blocked
-      record.completion_seconds = clock_->now() - t0;
-      record.async = true;
-      observe(record);
-    };
-  }
-
-  auto request_info = op->info;
-  enqueue_op(op);
-  return std::make_shared<Request>(op->done, std::move(request_info),
-                                   op->outcome);
+  RequestInfo info;
+  info.op = obs::IoOp::kFlush;
+  RequestPtr request = std::make_shared<Request>(std::move(info));
+  op->request = request;
+  capture_observed(*op, t0, /*blocking_seconds=*/0.0);  // caller not blocked
+  enqueue_op(std::move(op));
+  return request;
 }
 
-void AsyncConnector::note_staged(std::uint64_t bytes) {
-  if (options_.max_staged_bytes > 0) {
+void AsyncConnector::stage(AsyncOp& op, std::span<const std::byte> data) {
+  const std::uint64_t n = data.size();
+  std::byte* dst = nullptr;
+  std::uint64_t now_staged = 0;
+  {
     std::unique_lock lock(staging_mutex_);
-    staging_cv_.wait(lock, [&] {
-      return staged_outstanding_.load() + bytes <= options_.max_staged_bytes ||
-             staged_outstanding_.load() == 0;
-    });
+    if (options_.max_staged_bytes > 0) {
+      staging_cv_.wait(lock, [&] {
+        return staged_outstanding_ + n <= options_.max_staged_bytes ||
+               staged_outstanding_ == 0;
+      });
+    }
+    staged_outstanding_ += n;
+    staged_total_ += n;
+    staged_hwm_ = std::max(staged_hwm_, staged_outstanding_);
+    now_staged = staged_outstanding_;
+    op.holds_staging = true;
+    if (!options_.staging_backend && n > 0) {
+      dst = acquire_staging(n, op.staged_chunk);
+    }
   }
-  const std::uint64_t now_staged = staged_outstanding_.fetch_add(bytes) + bytes;
   if (obs::enabled()) {
-    static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
+    auto& gauge = staged_outstanding_gauge();
     gauge.set(static_cast<std::int64_t>(now_staged));
     gauge.note_watermark();
   }
-  std::lock_guard lock(stats_mutex_);
-  stats_.bytes_staged += bytes;
-  stats_.staged_high_watermark = std::max(stats_.staged_high_watermark, now_staged);
+  if (options_.staging_backend) {
+    op.device_offset = staging_device_offset_.fetch_add(n);
+    options_.staging_backend->write(op.device_offset, data);
+  } else if (n > 0) {
+    std::memcpy(dst, data.data(), n);
+    op.staged = {dst, n};
+  } else {
+    op.staged = {};
+  }
 }
 
-void AsyncConnector::note_unstaged(std::uint64_t bytes) {
-  const std::uint64_t before = staged_outstanding_.fetch_sub(bytes);
-  APIO_INVARIANT(before >= bytes, "staging accounting underflow");
-  if (obs::enabled()) {
-    static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
-    gauge.set(static_cast<std::int64_t>(before - bytes));
-  }
-  if (options_.max_staged_bytes > 0) {
+void AsyncConnector::release_staging(AsyncOp& op, bool rejected) {
+  std::uint64_t now_staged = 0;
+  {
     std::lock_guard lock(staging_mutex_);
-    staging_cv_.notify_all();
+    APIO_INVARIANT(staged_outstanding_ >= op.bytes,
+                   "staging accounting underflow");
+    staged_outstanding_ -= op.bytes;
+    if (rejected) staged_total_ -= op.bytes;
+    now_staged = staged_outstanding_;
+    if (StagingChunk* chunk = op.staged_chunk; chunk != nullptr) {
+      // Writes release in FIFO order, so a chunk empties front to back;
+      // an empty chunk is reused from its start (or parked for reuse).
+      if (--chunk->live == 0) {
+        chunk->used = 0;
+        if (chunk != staging_chunk_) free_staging_chunks_.push_back(chunk);
+      }
+    }
+    op.holds_staging = false;
+    op.staged_chunk = nullptr;
+    op.staged = {};
   }
+  if (obs::enabled()) {
+    staged_outstanding_gauge().set(static_cast<std::int64_t>(now_staged));
+  }
+  if (options_.max_staged_bytes > 0) staging_cv_.notify_all();
+}
+
+std::byte* AsyncConnector::acquire_staging(std::size_t n, StagingChunk*& owner) {
+  StagingChunk* chunk = staging_chunk_;
+  if (chunk == nullptr || chunk->capacity - chunk->used < n) {
+    // The current chunk is full: park it if already empty, then take
+    // the newest free chunk that fits, or grow.
+    if (chunk != nullptr && chunk->live == 0) free_staging_chunks_.push_back(chunk);
+    chunk = nullptr;
+    for (auto it = free_staging_chunks_.rbegin(); it != free_staging_chunks_.rend();
+         ++it) {
+      if ((*it)->capacity >= n) {
+        chunk = *it;
+        *it = free_staging_chunks_.back();
+        free_staging_chunks_.pop_back();
+        break;
+      }
+    }
+    if (chunk == nullptr) {
+      auto fresh = std::make_unique<StagingChunk>();
+      fresh->capacity = std::max<std::size_t>(
+          n, std::min<std::uint64_t>(kStagingChunkBytes, staging_capacity_));
+      fresh->bytes = std::make_unique_for_overwrite<std::byte[]>(fresh->capacity);
+      staging_capacity_ += fresh->capacity;
+      chunk = fresh.get();
+      staging_chunks_.push_back(std::move(fresh));
+    }
+    staging_chunk_ = chunk;
+  }
+  std::byte* slot = chunk->bytes.get() + chunk->used;
+  chunk->used += n;
+  ++chunk->live;
+  owner = chunk;
+  return slot;
 }
 
 void AsyncConnector::wait_all() {
-  // Drains the FIFO without rethrowing: per-operation failures are
-  // reported through each Request (or collected by an EventSet), the
-  // H5ESwait contract.  Rethrowing only the tail's error here would be
-  // arbitrary — intermediate failures would vanish.
-  tasking::EventualPtr tail;
-  {
-    std::lock_guard lock(order_mutex_);
-    tail = last_op_;
-  }
-  tail->wait_ignore_error();
+  // Waits for every op queued before the call, without rethrowing:
+  // per-operation failures are reported through each Request (or
+  // collected by an EventSet), the H5ESwait contract.  Rethrowing only
+  // the tail's error here would be arbitrary — intermediate failures
+  // would vanish.
+  std::unique_lock lock(order_mutex_);
+  const std::uint64_t target = submitted_;
+  ++drain_waiters_;
+  drained_cv_.wait(lock, [&] { return completed_ >= target; });
+  --drain_waiters_;
 }
 
 void AsyncConnector::close() {
@@ -689,8 +797,25 @@ void AsyncConnector::close() {
 }
 
 AsyncStats AsyncConnector::stats() const {
-  std::lock_guard lock(stats_mutex_);
-  return stats_;
+  AsyncStats snapshot;
+  {
+    std::lock_guard lock(stats_mutex_);
+    snapshot = stats_;
+  }
+  {
+    std::lock_guard lock(order_mutex_);
+    snapshot.writes_enqueued = writes_enqueued_;
+    snapshot.reads_enqueued = reads_enqueued_;
+    snapshot.prefetches_enqueued = prefetches_enqueued_;
+    // Every enqueued read missed the prefetch cache (hits never queue).
+    snapshot.cache_misses = reads_enqueued_;
+  }
+  {
+    std::lock_guard lock(staging_mutex_);
+    snapshot.bytes_staged = staged_total_;
+    snapshot.staged_high_watermark = staged_hwm_;
+  }
+  return snapshot;
 }
 
 void AsyncConnector::clear_cache() {
@@ -698,25 +823,19 @@ void AsyncConnector::clear_cache() {
   cache_.clear();
 }
 
-std::string AsyncConnector::cache_key(const h5::Dataset& ds,
-                                      const h5::Selection& selection) {
-  std::ostringstream os;
-  os << ds.object_key() << '|';
-  if (selection.is_all()) {
-    os << "all";
-  } else {
-    const h5::Hyperslab& slab = selection.slab();
-    auto emit = [&os](const h5::Dims& dims) {
-      os << '[';
-      for (std::uint64_t d : dims) os << d << ',';
-      os << ']';
-    };
-    emit(slab.start);
-    emit(slab.stride);
-    emit(slab.count);
-    emit(slab.block);
+AsyncConnector::CacheKey AsyncConnector::cache_key(const h5::Dataset& ds,
+                                                   const h5::Selection& selection) {
+  CacheKey key;
+  key.push_back(reinterpret_cast<std::uintptr_t>(ds.object_key()));
+  if (selection.is_all()) return key;
+  const h5::Hyperslab& slab = selection.slab();
+  key.reserve(1 + 4 + slab.start.size() + slab.stride.size() +
+              slab.count.size() + slab.block.size());
+  for (const h5::Dims* dims : {&slab.start, &slab.stride, &slab.count, &slab.block}) {
+    key.push_back(dims->size());
+    key.insert(key.end(), dims->begin(), dims->end());
   }
-  return os.str();
+  return key;
 }
 
 }  // namespace apio::vol

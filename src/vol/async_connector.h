@@ -9,10 +9,10 @@
 //     buffer and returns — that copy is the paper's *transactional
 //     overhead* (t_transact in Eq. 2b); the background task later moves
 //     the staged bytes to the target storage;
-//   * operations on one connector execute in FIFO order (each task
-//     depends on its predecessor), which is how the VOL connector keeps
-//     HDF5's ordering semantics without fine-grained dependency
-//     analysis;
+//   * operations on one connector execute in FIFO order (each op
+//     starts only after its predecessor's final outcome), which is how
+//     the VOL connector keeps HDF5's ordering semantics without
+//     fine-grained dependency analysis;
 //   * dataset_read either completes in the background (caller owns the
 //     buffer until completion) or is served from the prefetch cache
 //     (the BD-CATS-IO read path: first read synchronous, subsequent
@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,8 @@ struct AsyncOptions {
   /// recycled only across connector lifetimes.
   storage::BackendPtr staging_backend;
   /// Retry policy for background operations: a failed attempt is
-  /// re-enqueued under backoff instead of failing the request outright.
+  /// retried in place under backoff instead of failing the request
+  /// outright.
   /// The default (max_attempts = 1) reproduces pre-resilience behavior.
   resilience::RetryPolicy retry;
   /// Degraded mode: when a write's retries are exhausted, replay the
@@ -80,16 +82,17 @@ struct AsyncOptions {
 
 /// Counters exposed for tests, benches and the model.
 ///
-/// Mutated under the connector's stats mutex by application threads
-/// (enqueue paths) AND the background stream (staging accounting), so
-/// they must never be read field-by-field while the connector is live;
-/// stats() returns a coherent snapshot taken under the same mutex.
+/// Mutated by application threads (enqueue paths) and the background
+/// stream (staging release, final outcomes) under the connector's
+/// locks, so they must never be read field-by-field while the connector
+/// is live; stats() returns a snapshot taken under the same locks.
 struct AsyncStats {
   std::uint64_t writes_enqueued = 0;
   std::uint64_t reads_enqueued = 0;
   std::uint64_t prefetches_enqueued = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  /// Bytes of accepted writes (a write rejected at submit never counts).
   std::uint64_t bytes_staged = 0;
   std::uint64_t staged_high_watermark = 0;
   /// Re-executed attempts across all operations (excludes the first
@@ -124,82 +127,144 @@ class AsyncConnector final : public Connector {
   void wait_all() override;
   void close() override;
 
-  /// Coherent snapshot of the counters; safe to call from any thread
-  /// while the background stream is running.
+  /// Snapshot of the counters, each group read under the lock that
+  /// guards it; safe to call from any thread while the stream runs.
   AsyncStats stats() const;
 
   /// Drops any unconsumed prefetch buffers.
   void clear_cache();
 
  private:
+  /// One background operation: payload, identity, retry session and
+  /// completion.  Records are recycled through a free list, so a steady
+  /// stream of submits allocates none and frees none on the stream.
+  struct AsyncOp;
+  /// Returns a record that never reached the FIFO (its submit threw) to
+  /// the free list, releasing any staging it took.
+  struct OpReturner {
+    AsyncConnector* owner;
+    void operator()(AsyncOp* op) const;
+  };
+  using OpHandle = std::unique_ptr<AsyncOp, OpReturner>;
+  /// A block of staging memory, bump-allocated by writes and released
+  /// in FIFO order by the stream.
+  struct StagingChunk;
+
   struct CacheEntry {
-    tasking::EventualPtr ready;
+    RequestPtr ready;
     std::shared_ptr<std::vector<std::byte>> data;
   };
-
-  /// One background operation's full state: payload, identity, retry
-  /// session and completion plumbing.  Heap-shared because the retry
-  /// loop re-enqueues the same operation into the pool.
-  struct AsyncOp;
+  /// Flat prefetch-cache key: object key, then each hyperslab dim list
+  /// prefixed by its length, so distinct selections never alias.
+  using CacheKey = std::vector<std::uint64_t>;
 
   h5::FilePtr file_;
   AsyncOptions options_;
   WallClock wall_clock_;
   const Clock* clock_;
+  /// A RetrySession is created per op only when retry or a breaker is
+  /// configured; otherwise every op makes exactly one attempt.
+  bool retry_configured_ = false;
 
-  tasking::PoolPtr pool_;
-  std::unique_ptr<tasking::ExecutionStream> stream_;
-
-  debug::RankedMutex<debug::LockRank::kVolConnector> order_mutex_;
-  tasking::EventualPtr last_op_;
+  // FIFO state, guarded by order_mutex_.  Ops form an intrusive list;
+  // a drain task is pushed into the pool only on the idle->busy edge
+  // and runs every queued op in order before going idle again.
+  mutable debug::RankedMutex<debug::LockRank::kVolConnector> order_mutex_;
+  std::condition_variable_any drained_cv_;
+  AsyncOp* fifo_head_ = nullptr;
+  AsyncOp* fifo_tail_ = nullptr;
+  AsyncOp* free_ops_ = nullptr;
+  std::vector<std::unique_ptr<AsyncOp>> ops_;  ///< owns every record
+  bool draining_ = false;
+  std::uint64_t submitted_ = 0;  ///< sequence number of the last queued op
+  std::uint64_t completed_ = 0;  ///< sequence number of the last finished op
+  int drain_waiters_ = 0;
+  std::uint64_t writes_enqueued_ = 0;
+  std::uint64_t reads_enqueued_ = 0;
+  std::uint64_t prefetches_enqueued_ = 0;
+  /// Stream-only: when the previous op finished (trace FIFO-wait anchor).
+  double last_finish_ = 0.0;
 
   debug::RankedMutex<debug::LockRank::kVolCache> cache_mutex_;
-  std::map<std::string, CacheEntry> cache_;
+  std::map<CacheKey, CacheEntry> cache_;
+
+  // Staging state, guarded by staging_mutex_: back-pressure accounting
+  // and the connector-owned staging chunks.
+  mutable debug::RankedMutex<debug::LockRank::kVolStaging> staging_mutex_;
+  std::condition_variable_any staging_cv_;
+  std::uint64_t staged_outstanding_ = 0;
+  std::uint64_t staged_total_ = 0;
+  std::uint64_t staged_hwm_ = 0;
+  std::vector<std::unique_ptr<StagingChunk>> staging_chunks_;
+  std::vector<StagingChunk*> free_staging_chunks_;
+  StagingChunk* staging_chunk_ = nullptr;  ///< chunk new writes bump into
+  std::uint64_t staging_capacity_ = 0;     ///< bytes held by all chunks
+  std::atomic<std::uint64_t> staging_device_offset_{0};
 
   mutable debug::RankedMutex<debug::LockRank::kCounters> stats_mutex_;
   AsyncStats stats_;
-  std::atomic<std::uint64_t> staged_outstanding_{0};
-  std::atomic<std::uint64_t> staging_device_offset_{0};
-  std::condition_variable_any staging_cv_;
-  debug::RankedMutex<debug::LockRank::kVolStaging> staging_mutex_;
 
-  /// Set by shutdown_machinery(); read by every entry point.  Atomic:
-  /// a close() racing in-flight operations must fail them with
-  /// StateError, not tear a plain bool.
+  /// Set under order_mutex_ by shutdown_machinery(); read lock-free by
+  /// every entry point to reject work before any accounting happens.
   std::atomic<bool> closed_{false};
 
-  /// Chains `op` behind the connector's FIFO tail.  The op enters the
-  /// pool when its predecessor reaches its *final* outcome (successors
-  /// wait out a predecessor's retries, preserving FIFO semantics).
-  void enqueue_op(std::shared_ptr<AsyncOp> op);
+  // Declared last: the stream runs drain() over every member above, so
+  // it is joined before any of them is destroyed.
+  tasking::PoolPtr pool_;
+  std::unique_ptr<tasking::ExecutionStream> stream_;
 
-  /// Executes one attempt on the background stream; on failure consults
-  /// the op's retry session and either re-enqueues, degrades (write
-  /// sync-fallback) or fails the request.
-  void run_attempt(const std::shared_ptr<AsyncOp>& op);
+  /// Takes a recycled record (or a new one) for an op of `kind`; throws
+  /// StateError after close().
+  OpHandle new_op(obs::IoOp kind);
+
+  /// Captures the observer record inputs when someone observes.
+  void capture_observed(AsyncOp& op, double issue_time, double blocking_seconds);
+
+  /// Appends `op` to the FIFO and starts a drain when the stream is
+  /// idle.  Throws StateError (the handle then recycles the op) when
+  /// the connector closed since new_op().
+  void enqueue_op(OpHandle op);
+
+  /// Stream task: runs queued ops in FIFO order, each to its final
+  /// outcome, until the queue is empty.
+  void drain();
+
+  /// Runs one op on the stream: attempts it, retrying in place under
+  /// its session, then degrades (write sync-fallback) or fails it.
+  void run_op(AsyncOp& op);
 
   /// Performs the actual storage transfer for the op's kind.
   void execute_op(AsyncOp& op);
+  /// Writes a write op's staged bytes (DRAM or staging device).
+  void write_staged(AsyncOp& op);
 
-  /// Final-outcome paths: fill the shared RequestOutcome, release
-  /// staging accounting (writes, exactly once), update stats/counters,
-  /// then complete the eventual.
-  void finish_success(const std::shared_ptr<AsyncOp>& op);
-  void finish_failure(const std::shared_ptr<AsyncOp>& op,
-                      std::exception_ptr error);
+  /// Final outcome: releases staging (writes), updates stats/counters,
+  /// emits the observer record and resolves the request.
+  void finish(AsyncOp& op, std::exception_ptr error, bool degraded);
 
   /// Records the completion phase and seals the op's trace (runs before
-  /// the eventual fires so waiters observe a sealed trace).
+  /// the request resolves so waiters observe a sealed trace).
   static void seal_trace(const AsyncOp& op, bool failed,
                          double completion_start);
 
   /// Drains and joins the background machinery without closing the file.
   void shutdown_machinery();
+  /// After shutdown: frees the recycled records and staging chunks that
+  /// nobody holds (a submit racing close() may still hold one; that is
+  /// freed with the connector).
+  void release_idle_memory();
 
-  static std::string cache_key(const h5::Dataset& ds, const h5::Selection& selection);
+  static CacheKey cache_key(const h5::Dataset& ds, const h5::Selection& selection);
 
-  void note_staged(std::uint64_t bytes);
-  void note_unstaged(std::uint64_t bytes);
+  /// The transactional copy: waits for back-pressure room, accounts the
+  /// bytes and copies `data` into connector-owned staging.
+  void stage(AsyncOp& op, std::span<const std::byte> data);
+  /// Gives the op's staging back; `rejected` also un-counts the bytes
+  /// from stats (the write never entered the FIFO).
+  void release_staging(AsyncOp& op, bool rejected);
+  /// Bump-allocates `n` bytes from the current chunk (or a free or new
+  /// one).  Caller holds staging_mutex_.
+  std::byte* acquire_staging(std::size_t n, StagingChunk*& owner);
 };
 
 }  // namespace apio::vol

@@ -8,9 +8,7 @@
 namespace apio::vol {
 namespace {
 
-RequestPtr completed_request() {
-  return std::make_shared<Request>(tasking::Eventual::make_ready());
-}
+RequestPtr completed_request() { return Request::completed(); }
 
 obs::Histogram& sync_write_hist() {
   static auto& h = obs::Registry::instance().histogram("vol.sync.write_seconds");

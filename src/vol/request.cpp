@@ -1,5 +1,7 @@
 #include "vol/request.h"
 
+#include "common/debug/invariant.h"
+
 namespace apio::vol {
 
 std::string RequestInfo::to_string() const {
@@ -8,6 +10,28 @@ std::string RequestInfo::to_string() const {
   if (!selection.empty()) out += " " + selection;
   out += " @+" + std::to_string(offset) + " (" + std::to_string(bytes) + " B)";
   return out;
+}
+
+std::shared_ptr<Request> Request::completed(RequestInfo info) {
+  auto request = std::make_shared<Request>(std::move(info));
+  request->done_.store(true, std::memory_order_release);
+  return request;
+}
+
+void Request::wait() {
+  while (!done_.load(std::memory_order_acquire)) {
+    done_.wait(false, std::memory_order_acquire);
+  }
+  if (error_) std::rethrow_exception(error_);
+}
+
+void Request::resolve(const RequestOutcome& outcome, std::exception_ptr error) {
+  APIO_INVARIANT(!done_.load(std::memory_order_relaxed),
+                 "Request resolved twice");
+  outcome_ = outcome;
+  error_ = std::move(error);
+  done_.store(true, std::memory_order_release);
+  done_.notify_all();
 }
 
 }  // namespace apio::vol

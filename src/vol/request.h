@@ -2,13 +2,14 @@
 // HDF5 event-set entries / the async VOL's internal task objects.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 
 #include "common/error.h"
 #include "obs/record.h"
-#include "tasking/eventual.h"
 
 namespace apio::vol {
 
@@ -30,10 +31,7 @@ struct RequestInfo {
   std::string to_string() const;
 };
 
-/// Resolution detail shared between the connector (producer) and the
-/// Request/EventSet (consumers).  The producer fills it on the
-/// background stream strictly before completing the eventual; the
-/// eventual's completion ordering makes it visible to observers.
+/// Resolution detail the producer publishes together with completion.
 struct RequestOutcome {
   /// Executions the operation took (1 = no retries).
   int attempts = 1;
@@ -45,55 +43,66 @@ struct RequestOutcome {
   bool deadline_exhausted = false;
 };
 
-using RequestOutcomePtr = std::shared_ptr<RequestOutcome>;
-
-/// Completion token for one VOL operation.
+/// Completion token for one VOL operation.  The completion flag, the
+/// outcome, the error and the identity share this one object, so an
+/// async submit hands the caller a single heap block.
+///
+/// The producer (a connector) calls resolve() exactly once; the release
+/// store of the completion flag publishes the outcome and error, and
+/// every accessor reads them only after observing completion.
 class Request {
  public:
-  explicit Request(tasking::EventualPtr done, RequestInfo info = {},
-                   RequestOutcomePtr outcome = nullptr)
-      : done_(std::move(done)),
-        info_(std::move(info)),
-        outcome_(std::move(outcome)) {}
+  /// A pending request.
+  explicit Request(RequestInfo info = {}) : info_(std::move(info)) {}
+
+  /// A request that already completed successfully (synchronous
+  /// connectors, prefetch-cache hits).
+  static std::shared_ptr<Request> completed(RequestInfo info = {});
+
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
 
   /// Blocks until the operation completed; rethrows its error.
-  void wait() { done_->wait(); }
+  void wait();
 
   /// Non-blocking completion probe.
-  bool test() const { return done_->test(); }
+  bool test() const { return done_.load(std::memory_order_acquire); }
 
-  bool failed() const { return done_->has_error(); }
+  bool failed() const { return test() && error_ != nullptr; }
 
   /// The captured failure message; "" while pending or on success.
   std::string error_message() const {
-    return apio::error_message(done_->error());
+    return apio::error_message(test() ? error_ : nullptr);
   }
 
   /// Error taxonomy name ("transient-io", "io", "state", ...); "" while
   /// pending or on success.
   std::string error_category() const {
-    return apio::error_category(done_->error());
+    return apio::error_category(test() ? error_ : nullptr);
   }
 
   const RequestInfo& info() const { return info_; }
 
-  /// Executions the operation took so far as observed at completion
-  /// (1 when the connector ran without resilience).
-  int attempts() const { return outcome_ ? outcome_->attempts : 1; }
+  /// Executions the operation took as observed at completion (1 while
+  /// pending, or when the connector ran without resilience).
+  int attempts() const { return test() ? outcome_.attempts : 1; }
 
   /// True when the operation only completed via sync-fallback replay.
-  bool degraded() const { return outcome_ && outcome_->degraded; }
+  bool degraded() const { return test() && outcome_.degraded; }
 
   bool deadline_exhausted() const {
-    return outcome_ && outcome_->deadline_exhausted;
+    return test() && outcome_.deadline_exhausted;
   }
 
-  const tasking::EventualPtr& eventual() const { return done_; }
+  /// Producer side: publishes `outcome` and `error` (null = success),
+  /// then releases every waiter.  Must be called exactly once.
+  void resolve(const RequestOutcome& outcome, std::exception_ptr error = nullptr);
 
  private:
-  tasking::EventualPtr done_;
+  std::atomic<bool> done_{false};
+  RequestOutcome outcome_;
+  std::exception_ptr error_;
   RequestInfo info_;
-  RequestOutcomePtr outcome_;
 };
 
 using RequestPtr = std::shared_ptr<Request>;

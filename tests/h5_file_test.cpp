@@ -503,5 +503,34 @@ TEST(MetadataScaleTest, HundredsOfDatasetsPersist) {
   }
 }
 
+
+// ---------------------------------------------------------------------------
+// path_of over parent links (nested and foreign handles: trace_test)
+
+TEST(FilePathOfTest, ReopenedTreeKeepsParentLinks) {
+  auto backend = std::make_shared<storage::MemoryBackend>();
+  {
+    auto file = File::create(backend);
+    file->ensure_path("x/y").create_dataset("d", Datatype::kInt32, {2});
+    file->close();
+  }
+  auto reopened = File::open(backend);
+  EXPECT_EQ(reopened->path_of(reopened->dataset_at("x/y/d")), "x/y/d");
+}
+
+TEST(FilePathOfTest, RemoveThenRecreateWithSameName) {
+  auto file = make_file();
+  Group g = file->ensure_path("run/step");
+  g.create_dataset("d", Datatype::kUInt8, {4});
+  file->root().remove("run");
+  auto again = file->ensure_path("run/step").create_dataset("d", Datatype::kUInt8, {8});
+  EXPECT_EQ(file->path_of(again), "run/step/d");
+  Group other = file->ensure_path("run/other");
+  other.create_dataset("e", Datatype::kUInt8, {1});
+  other.remove("e");
+  auto e2 = other.create_dataset("e", Datatype::kUInt8, {1});
+  EXPECT_EQ(file->path_of(e2), "run/other/e");
+}
+
 }  // namespace
 }  // namespace apio::h5

@@ -7,8 +7,12 @@
 #include <numeric>
 #include <thread>
 
+#include "common/error.h"
 #include "model/advisor.h"
 #include "pmpi/world.h"
+#include "resilience/circuit_breaker.h"
+#include "resilience/retry.h"
+#include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
 #include "vol/async_connector.h"
 #include "vol/event_set.h"
@@ -171,6 +175,126 @@ TEST(StressTest, AdvisorUnderConcurrentObservations) {
             static_cast<std::size_t>(kThreads) * kObservations);
   EXPECT_TRUE(advisor->sync_ready());
   EXPECT_TRUE(advisor->async_ready());
+}
+
+
+// The async FIFO under fire: four submitting threads race wait_all()
+// and close() while transient faults drive in-place retries, breaker
+// rejections and sync-fallback replays on the stream.  Half of the
+// requests are dropped at once (the stream frees them); the other half
+// outlive the connector and must carry their final state.  Part of the
+// sanitizer gate (ci/check.sh, asan-ubsan step).
+TEST(AsyncFifoStressTest, SubmittersRaceWaitAllCloseUnderFaults) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = stress_iters(200, 40);
+  constexpr std::uint64_t kSlot = 64;
+
+  auto backend = std::make_shared<storage::FaultyBackend>(
+      std::make_shared<storage::MemoryBackend>(), storage::FaultPlan{});
+  auto file = h5::File::create(backend);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8,
+                                        {kThreads * kOpsPerThread * kSlot});
+  storage::FaultPlan plan;
+  plan.fail_every_n_writes = 3;
+  plan.transient = true;
+  backend->set_plan(plan);
+
+  resilience::ManualClock manual;
+  vol::AsyncOptions options;
+  options.retry.max_attempts = 2;
+  options.retry.base_backoff_seconds = 0.001;
+  options.sync_fallback = true;
+  options.sleeper = &manual;
+  // Every fault trips the breaker.  The faulted op's retry is rejected
+  // while it is open, so that op degrades to the fallback replay; the
+  // next op waits out the cooldown in its backoff and probes it closed.
+  resilience::BreakerOptions breaker;
+  breaker.failure_threshold = 1;
+  breaker.open_seconds = 0.002;
+  options.breaker = std::make_shared<resilience::CircuitBreaker>(breaker, &manual);
+  auto connector = std::make_shared<vol::AsyncConnector>(file, options, &manual);
+
+  struct Kept {
+    vol::RequestPtr request;
+    std::uint64_t slot = 0;
+  };
+  std::vector<std::vector<Kept>> kept(kThreads);
+  std::atomic<int> accepted{0};
+  std::atomic<int> rejected{0};
+  auto value_of = [](std::uint64_t slot) {
+    return static_cast<std::uint8_t>(slot * 7 + 1);
+  };
+
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::uint8_t> payload(kSlot);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto slot = static_cast<std::uint64_t>(t * kOpsPerThread + i);
+        std::fill(payload.begin(), payload.end(), value_of(slot));
+        vol::RequestPtr request;
+        try {
+          request = connector->dataset_write(
+              ds, h5::Selection::offsets({slot * kSlot}, {kSlot}),
+              std::as_bytes(std::span<const std::uint8_t>(payload)));
+        } catch (const StateError&) {
+          ++rejected;  // closed: every later submit is rejected too
+          return;
+        }
+        ++accepted;
+        if (i % 2 == 0) kept[t].push_back({std::move(request), slot});
+        if (i % 16 == 15) connector->wait_all();
+      }
+    });
+  }
+  // The closer lets about half the writes in, then drains, heals the
+  // backend (so the close-time metadata flush lands) and closes while
+  // the submitters are still going.
+  std::thread closer([&] {
+    while (accepted.load() < kThreads * kOpsPerThread / 2) {
+      std::this_thread::yield();
+    }
+    connector->wait_all();
+    backend->heal();
+    connector->close();
+  });
+  for (auto& th : submitters) th.join();
+  closer.join();
+
+  const vol::AsyncStats stats = connector->stats();
+  connector.reset();  // every kept request outlives the connector
+
+  EXPECT_EQ(stats.writes_enqueued, static_cast<std::uint64_t>(accepted.load()));
+  EXPECT_EQ(stats.bytes_staged, accepted.load() * kSlot);
+  EXPECT_GT(stats.retries, 0u);
+  EXPECT_GT(stats.degraded_ops, 0u);
+  std::uint64_t kept_failed = 0;
+  std::uint64_t kept_degraded = 0;
+  for (const auto& per_thread : kept) {
+    for (const Kept& k : per_thread) {
+      ASSERT_TRUE(k.request->test());
+      EXPECT_GE(k.request->attempts(), 1);
+      EXPECT_EQ(k.request->info().dataset_path, "d");
+      EXPECT_EQ(k.request->info().offset, k.slot * kSlot);
+      if (k.request->failed()) ++kept_failed;
+      if (k.request->degraded()) ++kept_degraded;
+    }
+  }
+  EXPECT_GE(stats.failed_ops, kept_failed);
+  EXPECT_GE(stats.degraded_ops, kept_degraded);
+
+  // Every kept write that succeeded (directly or degraded) is on disk.
+  auto reopened = h5::File::open(backend);
+  const auto contents =
+      reopened->root().open_dataset("d").read_vector<std::uint8_t>(h5::Selection::all());
+  for (const auto& per_thread : kept) {
+    for (const Kept& k : per_thread) {
+      if (k.request->failed()) continue;
+      for (std::uint64_t b = 0; b < kSlot; ++b) {
+        ASSERT_EQ(contents[k.slot * kSlot + b], value_of(k.slot)) << "slot " << k.slot;
+      }
+    }
+  }
 }
 
 }  // namespace

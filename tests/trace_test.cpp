@@ -290,6 +290,9 @@ TEST(PathOfTest, ForeignHandleRejected) {
   auto file_b = mem_file();
   auto ds = file_a->root().create_dataset("d", h5::Datatype::kInt8, {1});
   EXPECT_THROW(file_b->path_of(ds), NotFoundError);
+  auto nested = file_a->ensure_path("g/h").create_dataset("d", h5::Datatype::kInt8, {1});
+  EXPECT_THROW(file_b->path_of(nested), NotFoundError);
+  EXPECT_THROW(file_b->path_of(h5::Dataset()), NotFoundError);
 }
 
 }  // namespace

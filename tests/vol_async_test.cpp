@@ -338,5 +338,95 @@ TEST(AsyncConnectorTest, ManyMixedOperationsStressOrdering) {
   conn->close();
 }
 
+
+TEST(AsyncConnectorTest, WritesAfterCloseThrowWithoutStaging) {
+  AsyncOptions options;
+  options.max_staged_bytes = 1024;
+  auto conn = make_connector(options);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {800});
+  conn->close();
+  const std::vector<std::uint8_t> data(800, 1);
+  // Each rejected write must give back its back-pressure budget: were
+  // the first one's 800 B leaked, the second would block forever.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_THROW(conn->dataset_write(ds, h5::Selection::all(),
+                                     std::as_bytes(std::span<const std::uint8_t>(data))),
+                 StateError);
+  }
+  EXPECT_EQ(conn->stats().bytes_staged, 0u);
+  EXPECT_EQ(conn->stats().writes_enqueued, 0u);
+}
+
+TEST(AsyncConnectorTest, ForeignDatasetWriteThrowsAndKeepsBackpressureBudget) {
+  AsyncOptions options;
+  options.max_staged_bytes = 1024;
+  auto conn = make_connector(options);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {800});
+  auto other = h5::File::create(std::make_shared<storage::MemoryBackend>());
+  auto foreign = other->root().create_dataset("d", h5::Datatype::kUInt8, {800});
+  const std::vector<std::uint8_t> data(800, 3);
+  const auto bytes = std::as_bytes(std::span<const std::uint8_t>(data));
+
+  EXPECT_THROW(conn->dataset_write(foreign, h5::Selection::all(), bytes),
+               NotFoundError);
+  // Under back-pressure this write only fits if the rejected one left
+  // nothing staged.
+  auto req = conn->dataset_write(ds, h5::Selection::all(), bytes);
+  req->wait();
+  EXPECT_FALSE(req->failed());
+  EXPECT_EQ(ds.read_vector<std::uint8_t>(h5::Selection::all()), data);
+  const auto stats = conn->stats();
+  EXPECT_EQ(stats.bytes_staged, 800u);
+  EXPECT_EQ(stats.writes_enqueued, 1u);
+  conn->close();
+}
+
+TEST(AsyncConnectorTest, PrefetchKeysNeverAlias) {
+  auto conn = make_connector();
+  h5::Group root = conn->file()->root();
+  auto line = root.create_dataset("line", h5::Datatype::kUInt8, {64});
+  auto twin = root.create_dataset("twin", h5::Datatype::kUInt8, {64});
+  auto grid = root.create_dataset("grid", h5::Datatype::kUInt8, {16, 32});
+  std::vector<std::uint8_t> values(16 * 32);
+  std::iota(values.begin(), values.end(), std::uint8_t{0});
+  line.write<std::uint8_t>(h5::Selection::all(),
+                           std::span<const std::uint8_t>(values.data(), 64));
+  grid.write<std::uint8_t>(h5::Selection::all(), values);
+  std::vector<std::uint8_t> twin_values(64);
+  std::iota(twin_values.begin(), twin_values.end(), std::uint8_t{100});
+  twin.write<std::uint8_t>(h5::Selection::all(), twin_values);
+
+  // {1, 23} and {12, 3} concatenate to the same digits; the same
+  // hyperslab on two datasets differs only by object.
+  struct Probe {
+    h5::Dataset ds;
+    h5::Selection selection;
+    std::vector<std::uint8_t> want;
+  };
+  const std::vector<Probe> probes{
+      {line, h5::Selection::offsets({1}, {23}),
+       std::vector<std::uint8_t>(values.begin() + 1, values.begin() + 24)},
+      {line, h5::Selection::offsets({12}, {3}),
+       std::vector<std::uint8_t>(values.begin() + 12, values.begin() + 15)},
+      {grid, h5::Selection::offsets({1, 23}, {1, 1}), {values[1 * 32 + 23]}},
+      {grid, h5::Selection::offsets({12, 3}, {1, 1}), {values[12 * 32 + 3]}},
+      {twin, h5::Selection::offsets({1}, {23}),
+       std::vector<std::uint8_t>(twin_values.begin() + 1, twin_values.begin() + 24)},
+  };
+  for (const Probe& p : probes) conn->prefetch(p.ds, p.selection);
+  conn->wait_all();
+  EXPECT_EQ(conn->stats().prefetches_enqueued, probes.size());
+
+  for (const Probe& p : probes) {
+    std::vector<std::uint8_t> out(p.want.size(), 0xFF);
+    conn->dataset_read(p.ds, p.selection,
+                       std::as_writable_bytes(std::span<std::uint8_t>(out)))
+        ->wait();
+    EXPECT_EQ(out, p.want);
+  }
+  EXPECT_EQ(conn->stats().cache_hits, probes.size());
+  conn->close();
+}
+
 }  // namespace
 }  // namespace apio::vol
