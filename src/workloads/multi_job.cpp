@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -34,9 +35,10 @@ std::byte pattern_byte(const std::string& name, int step, std::uint64_t i) {
 }
 
 /// One rank of a tenant: steps `rank, rank + ranks, ...` of (compute,
-/// async op) over its own connector, then a full drain.
+/// async op) over its own connector, then a full drain.  Issues nothing
+/// until every rank of every tenant has set up and reached `start`.
 void run_rank(const h5::FilePtr& file, h5::Dataset ds, const TenantSpec& spec,
-              int rank) {
+              int rank, std::latch& start) {
   vol::AsyncOptions options;
   options.tenant = spec.name;
   vol::AsyncConnector conn(file, options);
@@ -47,6 +49,7 @@ void run_rank(const h5::FilePtr& file, h5::Dataset ds, const TenantSpec& spec,
   if (spec.kind == TenantSpec::Kind::kBdcats) {
     read_buffers.reserve(static_cast<std::size_t>(spec.steps));
   }
+  start.arrive_and_wait();
   for (int step = rank; step < spec.steps; step += spec.ranks) {
     simulated_compute(spec.compute_seconds);
     const auto selection = h5::Selection::offsets(
@@ -77,11 +80,11 @@ void run_rank(const h5::FilePtr& file, h5::Dataset ds, const TenantSpec& spec,
 /// One tenant: its ranks issue concurrently; the tenant has drained
 /// once every rank has.  Runs on a dedicated thread per tenant.
 void run_tenant(const h5::FilePtr& file, h5::Dataset ds,
-                const TenantSpec& spec) {
+                const TenantSpec& spec, std::latch& start) {
   std::vector<std::thread> ranks;
   ranks.reserve(static_cast<std::size_t>(spec.ranks));
   for (int rank = 0; rank < spec.ranks; ++rank) {
-    ranks.emplace_back([&, rank] { run_rank(file, ds, spec, rank); });
+    ranks.emplace_back([&, rank] { run_rank(file, ds, spec, rank, start); });
   }
   for (std::thread& thread : ranks) thread.join();
 }
@@ -185,7 +188,15 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
 
   // Shares are sampled the moment the FIRST tenant drains: up to that
   // point every tenant is backlogged, so the split is the scheduler's
-  // doing, not an artifact of who was given how much total work.
+  // doing, not an artifact of who was given how much total work.  The
+  // common start line makes "every tenant is backlogged" hold from the
+  // first grant too: without it, a tenant whose threads and connectors
+  // are set up a few bulk service times late (thread start-up under a
+  // loaded host) cedes those grants to the others, and the share error
+  // measures start-up skew instead of the scheduler.
+  int total_ranks = 0;
+  for (const TenantSpec& spec : params.tenants) total_ranks += spec.ranks;
+  std::latch start(total_ranks);
   std::once_flag first_drain;
   sched::SchedStats contended;
   WallClock wall;
@@ -194,7 +205,7 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
   threads.reserve(params.tenants.size());
   for (std::size_t i = 0; i < params.tenants.size(); ++i) {
     threads.emplace_back([&, i] {
-      run_tenant(file, datasets[i], params.tenants[i]);
+      run_tenant(file, datasets[i], params.tenants[i], start);
       std::call_once(first_drain, [&] { contended = scheduler->stats(); });
     });
   }
