@@ -22,8 +22,9 @@
 #   6. ThreadSanitizer build + the `tsan`-labelled suite (the whole unit
 #      suite plus reduced-iteration stress tests; zero reports allowed),
 #   7. Address+UB-sanitizer build + the fault-matrix resilience suite:
-#      the retry/degraded-mode paths juggle staged buffers across the
-#      background stream, so they run under asan/ubsan explicitly.
+#      async ops whose storage calls the resilient backend stack retries
+#      keep their staged buffers alive across the background stream's
+#      backoff sleeps, so they run under asan/ubsan explicitly.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail

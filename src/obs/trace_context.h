@@ -65,14 +65,13 @@ enum class Phase : std::uint8_t {
   kBackend,      ///< one storage::Backend decorator/leaf operation
   kCacheHit,     ///< read served from the burst-buffer staging area
   kCacheFlush,   ///< dirty-extent drain from the cache to the PFS tier
-  kFallback,     ///< degraded-mode synchronous replay
   kExchange,     ///< collective header/payload exchange (pmpi)
   kRemoteWrite,  ///< aggregator writing a contributor's bytes
   kComplete,     ///< completion bookkeeping before the eventual fires
   kOther,        ///< root self-time not covered by any child phase
 };
 
-inline constexpr int kPhaseCount = 16;
+inline constexpr int kPhaseCount = 15;
 
 const char* phase_name(Phase phase);
 

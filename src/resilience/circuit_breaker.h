@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/clock.h"
@@ -95,7 +94,5 @@ class CircuitBreaker {
 
   void transition_locked(BreakerState next);
 };
-
-using CircuitBreakerPtr = std::shared_ptr<CircuitBreaker>;
 
 }  // namespace apio::resilience

@@ -134,7 +134,6 @@ void RetrySession::check_breaker() {
 
 bool RetrySession::backoff_and_retry(const std::exception_ptr& error) {
   ++attempts_;
-  last_class_ = classify_error(error);
   // A breaker-rejected attempt never reached the backend; feeding it
   // back into the breaker would keep the breaker open forever.
   bool breaker_rejection = false;
@@ -147,7 +146,7 @@ bool RetrySession::backoff_and_retry(const std::exception_ptr& error) {
   if (breaker_ != nullptr && !breaker_rejection) breaker_->on_failure();
 
   const bool retryable =
-      last_class_ == ErrorClass::kTransient || policy_.retry_permanent;
+      classify_error(error) == ErrorClass::kTransient || policy_.retry_permanent;
   if (!retryable) return false;
   if (attempts_ >= policy_.max_attempts) return false;
 
@@ -155,7 +154,6 @@ bool RetrySession::backoff_and_retry(const std::exception_ptr& error) {
   if (policy_.deadline_seconds > 0.0) {
     const double elapsed = clock_->now() - start_;
     if (elapsed + backoff > policy_.deadline_seconds) {
-      deadline_exhausted_ = true;
       if (obs::enabled()) deadline_exhausted_counter().increment();
       return false;
     }

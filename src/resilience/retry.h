@@ -9,8 +9,8 @@
 // the aggregated-request granularity.  This module provides the policy
 // (bounded attempts, exponential backoff with deterministic seeded
 // jitter, per-request deadlines) and the per-attempt state machine
-// (RetrySession) that both storage::ResilientBackend and
-// vol::AsyncConnector drive.
+// (RetrySession) behind run_with_retry, the one retry loop, which
+// storage::ResilientBackend drives.
 //
 // Everything is deterministic and test-injectable: time comes from an
 // apio::Clock, backoff sleeps go through a Sleeper, and jitter is drawn
@@ -103,15 +103,14 @@ struct RetryPolicy {
   double jitter_fraction = 0.0;
   std::uint64_t jitter_seed = 0x5EEDBACCull;
   /// Per-request time budget on the injected clock, measured from
-  /// session construction (= request issue).  A retry whose backoff
-  /// would overrun the deadline is abandoned instead of slept.
+  /// session construction (= the start of the backend call).  A retry
+  /// whose backoff would overrun the deadline is abandoned instead of
+  /// slept.
   /// 0 disables the deadline.
   double deadline_seconds = 0.0;
   /// When true, permanent-classified errors are retried too (for
   /// backends whose plain IoErrors are known to be flaky).
   bool retry_permanent = false;
-
-  bool retries_enabled() const { return max_attempts > 1; }
 
   /// Backoff for the `failure_index`-th failure (1-based):
   /// base * multiplier^(failure_index-1), clamped, jittered via `rng`.
@@ -122,9 +121,8 @@ struct RetryPolicy {
 };
 
 /// Per-request retry state machine.  Drives exactly one request's
-/// attempt sequence from a single thread (the caller for synchronous
-/// backends, the background execution stream for the async VOL); it is
-/// not itself thread-safe.
+/// attempt sequence from the thread making the backend call; it is not
+/// itself thread-safe.
 class RetrySession {
  public:
   /// Captures the session start time (the deadline anchor) from
@@ -141,7 +139,7 @@ class RetrySession {
   /// backoff through the injected sleeper and returns true (the caller
   /// re-executes).  Returns false when the error is classified
   /// permanent, attempts are exhausted, or the backoff would overrun
-  /// the deadline — the caller then fails (or degrades) the request.
+  /// the deadline — the caller then fails the request.
   [[nodiscard]] bool backoff_and_retry(const std::exception_ptr& error);
 
   /// Records the successful attempt (closes the breaker's failure run).
@@ -154,12 +152,6 @@ class RetrySession {
   /// Total backoff actually slept, in seconds.
   [[nodiscard]] double backoff_total() const { return backoff_total_; }
 
-  /// True when the retry loop stopped because the deadline would have
-  /// been overrun.
-  [[nodiscard]] bool deadline_exhausted() const { return deadline_exhausted_; }
-
-  [[nodiscard]] ErrorClass last_class() const { return last_class_; }
-
  private:
   RetryPolicy policy_;
   const Clock* clock_;
@@ -169,8 +161,6 @@ class RetrySession {
   double start_;
   int attempts_ = 0;
   double backoff_total_ = 0.0;
-  bool deadline_exhausted_ = false;
-  ErrorClass last_class_ = ErrorClass::kPermanent;
 };
 
 /// Outcome of a completed run_with_retry call.
@@ -182,11 +172,13 @@ struct [[nodiscard]] RetryOutcome {
 /// Runs `fn` under `policy`: the synchronous retry loop used by
 /// storage::ResilientBackend.  Returns the outcome on success; rethrows
 /// the final error when attempts/deadline are exhausted or the error is
-/// classified permanent.
+/// classified permanent.  `retries`, when given, grows by one per
+/// re-executed attempt as it happens, so the retries of a call that
+/// finally fails count too.
 template <typename Fn>
 RetryOutcome run_with_retry(const RetryPolicy& policy, const Clock& clock,
-                            Sleeper& sleeper, CircuitBreaker* breaker,
-                            Fn&& fn) {
+                            Sleeper& sleeper, CircuitBreaker* breaker, Fn&& fn,
+                            std::atomic<std::uint64_t>* retries = nullptr) {
   RetrySession session(policy, &clock, &sleeper, breaker);
   for (;;) {
     try {
@@ -196,6 +188,7 @@ RetryOutcome run_with_retry(const RetryPolicy& policy, const Clock& clock,
       return RetryOutcome{session.attempts(), session.backoff_total()};
     } catch (...) {
       if (!session.backoff_and_retry(std::current_exception())) throw;
+      if (retries != nullptr) retries->fetch_add(1, std::memory_order_relaxed);
     }
   }
 }

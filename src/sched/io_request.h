@@ -10,18 +10,16 @@
 // An IoRequest names the work before it reaches storage: which tenant
 // issued it, which lane it rides (latency-sensitive metadata/flush vs
 // bulk data), how many bytes it moves, and — optionally — the absolute
-// deadline it inherits from the issue-anchored resilience::RetryPolicy
-// budget.  sched::FairScheduler (fair_scheduler.h) admits these
-// requests onto the shared storage channel in weighted max-min order;
-// storage::QosBackend builds them at the decorator boundary from the
-// calling thread's SubmissionContext.
+// deadline bound by the issuer's ScopedSubmission.  sched::FairScheduler
+// (fair_scheduler.h) admits these requests onto the shared storage
+// channel in weighted max-min order; storage::QosBackend builds them at
+// the decorator boundary from the calling thread's SubmissionContext.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "obs/record.h"
-#include "resilience/retry.h"
 
 namespace apio::sched {
 
@@ -56,18 +54,6 @@ struct IoRequest {
   /// tenant+lane queue (FIFO among deadline-free requests), and a grant
   /// issued past its deadline counts as a deadline miss.
   double deadline = 0.0;
-
-  /// Issue-anchored deadline from a retry policy: the same budget that
-  /// bounds the request's retries bounds its queueing, so a retried
-  /// attempt re-enters admission with its *original* anchor and sorts
-  /// ahead of younger work.  Returns 0 (no deadline) when the policy
-  /// has none.
-  static double deadline_from(const resilience::RetryPolicy& policy,
-                              double issue_time) {
-    return policy.deadline_seconds > 0.0
-               ? issue_time + policy.deadline_seconds
-               : 0.0;
-  }
 };
 
 /// Submission identity bound to the calling thread.  QosBackend reads

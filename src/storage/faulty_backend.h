@@ -5,11 +5,10 @@
 // countdown, on a recurring every-N schedule, when the operation
 // touches a configured offset range, or always — so tests can drive the
 // library's failure handling (async error propagation, event-set error
-// collection, retry/backoff, degraded-mode fallback) without real
-// hardware faults.  Injected errors are classified: plans marked
-// `transient` throw TransientIoError (the resilience layer retries
-// these under policy), others throw plain IoError (classified
-// permanent).
+// collection, retry/backoff) without real hardware faults.  Injected
+// errors are classified: plans marked `transient` throw
+// TransientIoError (the resilience layer retries these under policy),
+// others throw plain IoError (classified permanent).
 //
 // Heal/arm contract: heal() first resets every countdown and per-op
 // counter to the plan's initial state and then publishes the healed

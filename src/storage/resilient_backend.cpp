@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "obs/trace_context.h"
 
 namespace apio::storage {
@@ -12,11 +11,6 @@ namespace {
 const Clock& default_clock() {
   static WallClock clock;
   return clock;
-}
-
-obs::Counter& layer_retries_counter() {
-  static auto& c = obs::Registry::instance().counter("storage.resilient.retries");
-  return c;
 }
 
 }  // namespace
@@ -38,13 +32,9 @@ ResilientBackend::ResilientBackend(BackendPtr inner, ResilienceOptions options,
 
 template <typename Fn>
 void ResilientBackend::run(Fn&& fn) {
-  const auto outcome = resilience::run_with_retry(
-      options_.retry, *clock_, *sleeper_, breaker_.get(), std::forward<Fn>(fn));
-  if (outcome.attempts > 1) {
-    const auto extra = static_cast<std::uint64_t>(outcome.attempts - 1);
-    retries_.fetch_add(extra, std::memory_order_relaxed);
-    if (obs::enabled()) layer_retries_counter().add(extra);
-  }
+  (void)resilience::run_with_retry(options_.retry, *clock_, *sleeper_,
+                                   breaker_.get(), std::forward<Fn>(fn),
+                                   &retries_);
 }
 
 void ResilientBackend::read(std::uint64_t offset, std::span<std::byte> out) {

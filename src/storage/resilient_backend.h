@@ -3,13 +3,14 @@
 // Wraps another backend and re-executes failed reads/writes/flushes
 // under a resilience::RetryPolicy, with an optional per-backend circuit
 // breaker that sheds load during a sustained outage.  Truncate is a
-// rare metadata operation and passes through unretried.
+// rare metadata operation and passes through unretried.  This is the
+// library's only retry loop: the async connector executes each op once
+// and leaves recovery to the stack under the file.
 //
+// A retry deadline is anchored at the start of each backend call.
 // Retry cost is recorded through the shared io.* resilience metrics
 // (io.retries, io.retry_backoff_seconds, io.deadline_exhausted,
-// io.breaker_*) plus a layer-local storage.resilient.retries counter,
-// so profiles attribute retries spent below the VOL separately from
-// retries spent by the async connector itself.
+// io.breaker_*); retries() keeps a per-instance count.
 #pragma once
 
 #include <atomic>
@@ -51,7 +52,8 @@ class ResilientBackend final : public Backend {
     return "resilient(" + inner_->name() + ")";
   }
 
-  /// Re-executed attempts across all operations so far.
+  /// Re-executed attempts across all operations so far, including those
+  /// of calls that finally failed: this backend's share of io.retries.
   std::uint64_t retries() const {
     return retries_.load(std::memory_order_relaxed);
   }

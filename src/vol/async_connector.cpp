@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "common/debug/invariant.h"
 #include "common/debug/thread_role.h"
@@ -45,23 +44,8 @@ obs::Counter& prefetch_misses_counter() {
   return c;
 }
 
-obs::Counter& retries_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.retries");
-  return c;
-}
-
-obs::Counter& degraded_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.degraded_ops");
-  return c;
-}
-
 obs::Counter& failed_counter() {
   static auto& c = obs::Registry::instance().counter("vol.async.failed_ops");
-  return c;
-}
-
-obs::Counter& io_degraded_counter() {
-  static auto& c = obs::Registry::instance().counter("io.degraded_ops");
   return c;
 }
 
@@ -124,11 +108,9 @@ struct AsyncConnector::AsyncOp {
   h5::Dataset ds;
   /// Reassigned per use, so its dim vectors keep their capacity.
   h5::Selection selection = h5::Selection::all();
-  /// Write payload in connector-owned staging (DRAM path).
+  /// Write payload in connector-owned staging.
   std::span<const std::byte> staged;
   StagingChunk* staged_chunk = nullptr;
-  /// Write payload location when staging on a device.
-  std::uint64_t device_offset = 0;
   /// True while the op's bytes count against back-pressure.
   bool holds_staging = false;
   /// Read destination (caller-owned until completion).
@@ -142,8 +124,6 @@ struct AsyncConnector::AsyncOp {
   /// background stream around the op so a QosBackend under the file
   /// charges the issuing tenant.
   sched::SubmissionContext submission;
-  /// Present only when retry or a breaker is configured.
-  std::optional<resilience::RetrySession> session;
 
   /// Observer record inputs, captured at issue when someone observes.
   bool observed = false;
@@ -174,7 +154,6 @@ void AsyncConnector::OpReturner::operator()(AsyncOp* op) const {
   if (op->holds_staging) owner->release_staging(*op, /*rejected=*/true);
   op->request.reset();
   op->buffer.reset();
-  op->session.reset();
   std::lock_guard lock(owner->order_mutex_);
   op->idle = true;
   op->next = owner->free_ops_;
@@ -202,9 +181,6 @@ AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
       options_(std::move(options)),
       clock_(clock != nullptr ? clock : &wall_clock_) {
   APIO_REQUIRE(file_ != nullptr, "AsyncConnector requires an open file");
-  options_.retry.validate();
-  retry_configured_ =
-      options_.retry.retries_enabled() || options_.breaker != nullptr;
   const double t0 = clock_->now();
   pool_ = std::make_shared<tasking::Pool>();
   stream_ = std::make_unique<tasking::ExecutionStream>(pool_);
@@ -291,8 +267,7 @@ void AsyncConnector::enqueue_op(OpHandle op) {
   // Submission identity, resolved at issue time: connector-level tenant
   // wins, then the issuing thread's binding.  Flushes ride the priority
   // lane (they are the latency-sensitive barrier ops the fairness gate
-  // protects); the op's admission deadline is the same issue-anchored
-  // budget its retries run under.
+  // protects); the admission deadline is the issuing thread's.
   const sched::SubmissionContext* ctx = sched::current_submission();
   if (!options_.tenant.empty()) {
     op->submission.tenant = options_.tenant;
@@ -304,16 +279,6 @@ void AsyncConnector::enqueue_op(OpHandle op) {
   op->submission.lane = op->kind == obs::IoOp::kFlush ? sched::Lane::kPriority
                                                       : sched::Lane::kBulk;
   op->submission.deadline = ctx != nullptr ? ctx->deadline : 0.0;
-  if (options_.retry.deadline_seconds > 0.0) {
-    op->submission.deadline =
-        sched::IoRequest::deadline_from(options_.retry, clock_->now());
-  }
-  if (retry_configured_) {
-    op->session.emplace(options_.retry, clock_,
-                        options_.sleeper != nullptr ? options_.sleeper
-                                                    : &resilience::wall_sleeper(),
-                        options_.breaker.get());
-  }
   if (op->trace.recording()) op->fifo_enqueue_time = obs::steady_seconds();
 
   bool start_drain = false;
@@ -363,8 +328,8 @@ void AsyncConnector::drain() {
       }
       fifo_head_ = fifo_tail_ = nullptr;
     }
-    // Each op runs to its final outcome (retries included) before its
-    // successor starts: successors wait out predecessor retries.
+    // Each op runs to its final outcome before its successor starts:
+    // successors wait out any retries the backend stack makes.
     AsyncOp* last = burst;
     for (AsyncOp* op = burst; op != nullptr; op = op->next) {
       run_op(*op);
@@ -383,16 +348,6 @@ void AsyncConnector::drain() {
   }
 }
 
-void AsyncConnector::write_staged(AsyncOp& op) {
-  if (options_.staging_backend) {
-    std::vector<std::byte> from_device(op.bytes);
-    options_.staging_backend->read(op.device_offset, from_device);
-    op.ds.write_raw(op.selection, from_device);
-  } else {
-    op.ds.write_raw(op.selection, op.staged);
-  }
-}
-
 void AsyncConnector::execute_op(AsyncOp& op) {
   obs::TimedOp execute_span(
       execute_label(op.kind), obs::Category::kVol, execute_hist(),
@@ -400,7 +355,7 @@ void AsyncConnector::execute_op(AsyncOp& op) {
       op.bytes);
   switch (op.kind) {
     case obs::IoOp::kWrite:
-      write_staged(op);
+      op.ds.write_raw(op.selection, op.staged);
       break;
     case obs::IoOp::kRead:
       op.ds.read_raw(op.selection, op.out);
@@ -416,9 +371,9 @@ void AsyncConnector::execute_op(AsyncOp& op) {
 
 void AsyncConnector::run_op(AsyncOp& op) {
   // Background threads do not inherit the issuer's thread-local
-  // submission binding; restore it for the whole op (every attempt AND
-  // the sync-fallback replay) so QosBackend admission charges the right
-  // tenant.  The trace is re-bound next to it.
+  // submission binding; restore it for the whole op so QosBackend
+  // admission charges the right tenant.  The trace is re-bound next to
+  // it.
   sched::ScopedSubmission bind(op.submission);
   obs::trace::ScopedTraceContext trace_bind(op.trace);
   if (op.trace.recording()) {
@@ -432,70 +387,31 @@ void AsyncConnector::run_op(AsyncOp& op) {
     obs::trace::record_phase(op.trace, obs::trace::Phase::kPoolWait, ready,
                              now - ready);
   }
+  // One attempt span per op.  A ResilientBackend under the file retries
+  // inside it (backoff spans, repeated backend spans), sleeping on this
+  // stream and so stalling the FIFO like a storage target that is down.
   std::exception_ptr error;
-  for (;;) {
-    try {
-      obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op.bytes);
-      if (op.session) op.session->check_breaker();
-      execute_op(op);
-      attempt.finish();
-      if (op.session) op.session->note_success();
-      error = nullptr;
-      break;
-    } catch (...) {
-      error = std::current_exception();
-      // In-place retry: the session sleeps the backoff on this stream,
-      // stalling the FIFO exactly like a storage target that is down.
-      if (!op.session || !op.session->backoff_and_retry(error)) break;
-    }
+  try {
+    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op.bytes);
+    execute_op(op);
+  } catch (...) {
+    error = std::current_exception();
   }
-  bool degraded = false;
-  if (error && op.kind == obs::IoOp::kWrite && options_.sync_fallback) {
-    try {
-      // Degraded mode: replay the staged bytes through the native
-      // synchronous path, outside policy and breaker — the last resort
-      // before reporting data loss.
-      obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback, op.bytes);
-      write_staged(op);
-      fallback.finish();
-      degraded = true;
-      error = nullptr;
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-  finish(op, std::move(error), degraded);
+  finish(op, std::move(error));
   if (obs::trace::TraceCollector::instance().enabled()) {
     last_finish_ = obs::steady_seconds();
   }
 }
 
-void AsyncConnector::finish(AsyncOp& op, std::exception_ptr error,
-                            bool degraded) {
+void AsyncConnector::finish(AsyncOp& op, std::exception_ptr error) {
   const double completion_start =
       op.trace.recording() ? obs::steady_seconds() : 0.0;
   const bool failed = error != nullptr;
-  RequestOutcome outcome;
-  if (op.session) {
-    outcome.attempts = std::max(op.session->attempts(), 1);
-    outcome.deadline_exhausted = op.session->deadline_exhausted();
-  }
-  outcome.degraded = degraded;
-  const auto retries = static_cast<std::uint64_t>(outcome.attempts - 1);
   if (op.holds_staging) release_staging(op, /*rejected=*/false);
-  if (obs::enabled()) {
-    if (retries > 0) retries_counter().add(retries);
-    if (degraded) {
-      degraded_counter().increment();
-      io_degraded_counter().increment();
-    }
-    if (failed) failed_counter().increment();
-  }
-  if (retries > 0 || degraded || failed) {
+  if (failed) {
+    if (obs::enabled()) failed_counter().increment();
     std::lock_guard lock(stats_mutex_);
-    stats_.retries += retries;
-    if (degraded) ++stats_.degraded_ops;
-    if (failed) ++stats_.failed_ops;
+    ++stats_.failed_ops;
   }
   if (!failed && op.observed) {
     // Observer records are emitted on final success only.
@@ -516,10 +432,9 @@ void AsyncConnector::finish(AsyncOp& op, std::exception_ptr error,
     observe(record);
   }
   seal_trace(op, failed, completion_start);
-  op.request->resolve(outcome, std::move(error));
+  op.request->resolve(std::move(error));
   op.request.reset();
   op.buffer.reset();
-  op.session.reset();
 }
 
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
@@ -542,8 +457,7 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
     // The transactional copy: a non-zero-copy into connector-owned
     // staging so the caller may immediately reuse (or mutate) its
     // memory while the background thread performs the actual storage
-    // transfer.  The staging area is either DRAM or, when configured, a
-    // node-local staging device (SSD) region.
+    // transfer.
     obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy,
                                        data.size());
     obs::TimedOp stage_op("stage_copy", obs::Category::kVol, stage_hist(),
@@ -697,24 +611,15 @@ void AsyncConnector::stage(AsyncOp& op, std::span<const std::byte> data) {
     staged_hwm_ = std::max(staged_hwm_, staged_outstanding_);
     now_staged = staged_outstanding_;
     op.holds_staging = true;
-    if (!options_.staging_backend && n > 0) {
-      dst = acquire_staging(n, op.staged_chunk);
-    }
+    if (n > 0) dst = acquire_staging(n, op.staged_chunk);
   }
   if (obs::enabled()) {
     auto& gauge = staged_outstanding_gauge();
     gauge.set(static_cast<std::int64_t>(now_staged));
     gauge.note_watermark();
   }
-  if (options_.staging_backend) {
-    op.device_offset = staging_device_offset_.fetch_add(n);
-    options_.staging_backend->write(op.device_offset, data);
-  } else if (n > 0) {
-    std::memcpy(dst, data.data(), n);
-    op.staged = {dst, n};
-  } else {
-    op.staged = {};
-  }
+  if (n > 0) std::memcpy(dst, data.data(), n);
+  op.staged = {dst, n};
 }
 
 void AsyncConnector::release_staging(AsyncOp& op, bool rejected) {

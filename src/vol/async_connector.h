@@ -33,49 +33,25 @@
 
 #include "common/clock.h"
 #include "common/debug/lock_rank.h"
-#include "resilience/retry.h"
 #include "sched/io_request.h"
 #include "tasking/execution_stream.h"
 #include "vol/connector.h"
 
 namespace apio::vol {
 
-/// Tunables for the async connector.
+/// Tunables for the async connector.  The connector stages and orders;
+/// retry, circuit breaking and staging tiers belong to the backend stack
+/// under the file (storage::BackendStack::resilient / cached).
 struct AsyncOptions {
   /// Upper bound on bytes staged but not yet written; dataset_write
   /// blocks (back-pressure) when exceeded.  0 = unlimited.
   std::uint64_t max_staged_bytes = 0;
-  /// Optional staging device: when set, the transactional copy lands on
-  /// this backend (e.g. a node-local SSD file) instead of a DRAM
-  /// buffer, trading staging speed for capacity — the paper's
-  /// "caching data either to a memory buffer on the same node ... or to
-  /// a node-local SSD" (Sec. II-C).  The region is bump-allocated and
-  /// recycled only across connector lifetimes.
-  storage::BackendPtr staging_backend;
-  /// Retry policy for background operations: a failed attempt is
-  /// retried in place under backoff instead of failing the request
-  /// outright.
-  /// The default (max_attempts = 1) reproduces pre-resilience behavior.
-  resilience::RetryPolicy retry;
-  /// Degraded mode: when a write's retries are exhausted, replay the
-  /// staged buffer synchronously through the native data path (outside
-  /// policy and breaker) before giving up.  The request then completes
-  /// successfully with Request::degraded() set.
-  bool sync_fallback = false;
-  /// Where retry backoff sleeps go.  Null = blocking wall sleeper;
-  /// tests inject a resilience::ManualClock so nothing wall-sleeps.
-  /// Backoff sleeps run on the background stream and stall the FIFO —
-  /// exactly the semantics of a storage target that is down.
-  resilience::Sleeper* sleeper = nullptr;
-  /// Optional circuit breaker consulted before every attempt; may be
-  /// shared across connectors targeting the same backend.
-  resilience::CircuitBreakerPtr breaker;
   /// Fair-share identity charged for this connector's storage work when
   /// the file sits on a storage::QosBackend.  Empty = inherit the
   /// issuing thread's sched::ScopedSubmission binding (falling back to
   /// the QosBackend's default tenant).  The connector captures the
   /// identity at *issue* time and re-binds it on the background stream
-  /// around each attempt, so admission always charges the tenant that
+  /// around each op, so admission always charges the tenant that
   /// issued the op, never the stream draining it.
   sched::TenantId tenant;
 };
@@ -95,12 +71,8 @@ struct AsyncStats {
   /// Bytes of accepted writes (a write rejected at submit never counts).
   std::uint64_t bytes_staged = 0;
   std::uint64_t staged_high_watermark = 0;
-  /// Re-executed attempts across all operations (excludes the first
-  /// attempt of each).
-  std::uint64_t retries = 0;
-  /// Operations completed only via sync-fallback replay.
-  std::uint64_t degraded_ops = 0;
-  /// Operations that exhausted policy and failed.
+  /// Operations whose storage call failed (after any retries the
+  /// backend stack made).
   std::uint64_t failed_ops = 0;
   double init_seconds = 0.0;
   double term_seconds = 0.0;
@@ -135,8 +107,7 @@ class AsyncConnector final : public Connector {
   void clear_cache();
 
  private:
-  /// One background operation: payload, identity, retry session and
-  /// completion.  Records are recycled through a free list, so a steady
+  /// One background operation: payload, identity and completion.  Records are recycled through a free list, so a steady
   /// stream of submits allocates none and frees none on the stream.
   struct AsyncOp;
   /// Returns a record that never reached the FIFO (its submit threw) to
@@ -162,9 +133,6 @@ class AsyncConnector final : public Connector {
   AsyncOptions options_;
   WallClock wall_clock_;
   const Clock* clock_;
-  /// A RetrySession is created per op only when retry or a breaker is
-  /// configured; otherwise every op makes exactly one attempt.
-  bool retry_configured_ = false;
 
   // FIFO state, guarded by order_mutex_.  Ops form an intrusive list;
   // a drain task is pushed into the pool only on the idle->busy edge
@@ -199,7 +167,6 @@ class AsyncConnector final : public Connector {
   std::vector<StagingChunk*> free_staging_chunks_;
   StagingChunk* staging_chunk_ = nullptr;  ///< chunk new writes bump into
   std::uint64_t staging_capacity_ = 0;     ///< bytes held by all chunks
-  std::atomic<std::uint64_t> staging_device_offset_{0};
 
   mutable debug::RankedMutex<debug::LockRank::kCounters> stats_mutex_;
   AsyncStats stats_;
@@ -229,18 +196,16 @@ class AsyncConnector final : public Connector {
   /// outcome, until the queue is empty.
   void drain();
 
-  /// Runs one op on the stream: attempts it, retrying in place under
-  /// its session, then degrades (write sync-fallback) or fails it.
+  /// Runs one op on the stream: executes it once (the backend stack
+  /// under the file does any retrying) and finishes it.
   void run_op(AsyncOp& op);
 
   /// Performs the actual storage transfer for the op's kind.
   void execute_op(AsyncOp& op);
-  /// Writes a write op's staged bytes (DRAM or staging device).
-  void write_staged(AsyncOp& op);
 
   /// Final outcome: releases staging (writes), updates stats/counters,
   /// emits the observer record and resolves the request.
-  void finish(AsyncOp& op, std::exception_ptr error, bool degraded);
+  void finish(AsyncOp& op, std::exception_ptr error);
 
   /// Records the completion phase and seals the op's trace (runs before
   /// the request resolves so waiters observe a sealed trace).

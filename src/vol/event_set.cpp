@@ -6,11 +6,7 @@ namespace apio::vol {
 
 std::string EventError::to_string() const {
   std::string line = info.to_string() + ": " + message;
-  line += " [category=" + (category.empty() ? "unknown" : category);
-  line += ", attempts=" + std::to_string(attempts);
-  if (deadline_exhausted) line += ", deadline-exhausted";
-  line += "]";
-  return line;
+  return line + " [category=" + (category.empty() ? "unknown" : category) + "]";
 }
 
 void EventSet::insert(RequestPtr request) {
@@ -49,8 +45,6 @@ void EventSet::wait() {
       err.info = r->info();
       err.message = apio::error_message(new_raw.back());
       err.category = apio::error_category(new_raw.back());
-      err.attempts = r->attempts();
-      err.deadline_exhausted = r->deadline_exhausted();
       new_errors.push_back(std::move(err));
     }
   }

@@ -23,11 +23,9 @@ struct EventError {
   std::string message;
   /// Taxonomy name from apio::error_category ("transient-io", "io", ...).
   std::string category;
-  int attempts = 1;
-  bool deadline_exhausted = false;
 
   /// "write /tiles/a [0..16) @+0 (16 B): injected write fault
-  ///  [category=io, attempts=3]" style line.
+  ///  [category=io]" style line.
   std::string to_string() const;
 };
 

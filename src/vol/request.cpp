@@ -25,10 +25,9 @@ void Request::wait() {
   if (error_) std::rethrow_exception(error_);
 }
 
-void Request::resolve(const RequestOutcome& outcome, std::exception_ptr error) {
+void Request::resolve(std::exception_ptr error) {
   APIO_INVARIANT(!done_.load(std::memory_order_relaxed),
                  "Request resolved twice");
-  outcome_ = outcome;
   error_ = std::move(error);
   done_.store(true, std::memory_order_release);
   done_.notify_all();

@@ -31,25 +31,13 @@ struct RequestInfo {
   std::string to_string() const;
 };
 
-/// Resolution detail the producer publishes together with completion.
-struct RequestOutcome {
-  /// Executions the operation took (1 = no retries).
-  int attempts = 1;
-  /// True when the async path failed and the staged data was replayed
-  /// through the synchronous native path (degraded mode).
-  bool degraded = false;
-  /// True when retrying stopped because the per-request deadline would
-  /// have been overrun.
-  bool deadline_exhausted = false;
-};
-
 /// Completion token for one VOL operation.  The completion flag, the
-/// outcome, the error and the identity share this one object, so an
-/// async submit hands the caller a single heap block.
+/// error and the identity share this one object, so an async submit
+/// hands the caller a single heap block.
 ///
 /// The producer (a connector) calls resolve() exactly once; the release
-/// store of the completion flag publishes the outcome and error, and
-/// every accessor reads them only after observing completion.
+/// store of the completion flag publishes the error, and every accessor
+/// reads it only after observing completion.
 class Request {
  public:
   /// A pending request.
@@ -83,24 +71,12 @@ class Request {
 
   const RequestInfo& info() const { return info_; }
 
-  /// Executions the operation took as observed at completion (1 while
-  /// pending, or when the connector ran without resilience).
-  int attempts() const { return test() ? outcome_.attempts : 1; }
-
-  /// True when the operation only completed via sync-fallback replay.
-  bool degraded() const { return test() && outcome_.degraded; }
-
-  bool deadline_exhausted() const {
-    return test() && outcome_.deadline_exhausted;
-  }
-
-  /// Producer side: publishes `outcome` and `error` (null = success),
-  /// then releases every waiter.  Must be called exactly once.
-  void resolve(const RequestOutcome& outcome, std::exception_ptr error = nullptr);
+  /// Producer side: publishes `error` (null = success), then releases
+  /// every waiter.  Must be called exactly once.
+  void resolve(std::exception_ptr error = nullptr);
 
  private:
   std::atomic<bool> done_{false};
-  RequestOutcome outcome_;
   std::exception_ptr error_;
   RequestInfo info_;
 };

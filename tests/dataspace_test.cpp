@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "common/error.h"
@@ -280,6 +281,10 @@ struct SlabCase {
   Hyperslab slab;
   std::string name;
 };
+
+// Without this, gtest prints the raw bytes of the struct, whose heap
+// pointers make the test names change from build to build.
+void PrintTo(const SlabCase& c, std::ostream* os) { *os << c.name; }
 
 class HyperslabPropertyTest : public ::testing::TestWithParam<SlabCase> {};
 

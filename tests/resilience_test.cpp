@@ -1,6 +1,6 @@
-// Resilience tests: retry/backoff policy, circuit breaker, resilient
-// backend decorator and the async connector's recovery paths, driven by
-// a deterministic fault matrix.
+// Resilience tests: retry/backoff policy, circuit breaker, the resilient
+// backend decorator (the library's one retry loop) and async ops that
+// recover through it, driven by a deterministic fault matrix.
 //
 // Everything runs on virtual time: resilience::ManualClock is injected
 // as both Clock and Sleeper, so the exact backoff schedule is asserted
@@ -8,11 +8,12 @@
 //
 // The centerpiece is ResilienceMatrixTest: {write, read, flush} ×
 // {countdown, every-N, offset-range, permanent} × {no-retry, bounded,
-// deadline, sync-fallback}, each cell asserting the request outcome
-// (attempts, degraded, deadline_exhausted), the EventSet error record
-// (identity + category), the obs counters (io.retries et al.), the
-// connector's AsyncStats and — via File::open's checksum validation —
-// the final bytes in the container.
+// deadline}, each cell running a default AsyncConnector over
+// resilient(faulty(memory)) and asserting the request outcome, the
+// EventSet error record (identity + category), the retry counts (the
+// decorator's own and io.retries et al.), the connector's AsyncStats
+// and — via File::open's checksum validation — the final bytes in the
+// container.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -418,8 +419,6 @@ TEST(ResilienceRequestIdentityTest, FailedRequestCarriesFullIdentity) {
   EXPECT_EQ(req->info().dataset_path, "d");
   EXPECT_EQ(req->info().offset, 16u);
   EXPECT_EQ(req->info().bytes, 16u);
-  EXPECT_EQ(req->attempts(), 1);
-  EXPECT_FALSE(req->degraded());
 
   // The EventSet error line aggregates identity + message + taxonomy.
   vol::EventSet es;
@@ -429,8 +428,7 @@ TEST(ResilienceRequestIdentityTest, FailedRequestCarriesFullIdentity) {
   const std::string line = es.error_messages()[0];
   EXPECT_NE(line.find("write d"), std::string::npos);
   EXPECT_NE(line.find("injected write fault"), std::string::npos);
-  EXPECT_NE(line.find("category=io"), std::string::npos);
-  EXPECT_NE(line.find("attempts=1"), std::string::npos);
+  EXPECT_NE(line.find("[category=io]"), std::string::npos);
 
   backend->heal();
   connector.close();
@@ -441,7 +439,7 @@ TEST(ResilienceRequestIdentityTest, FailedRequestCarriesFullIdentity) {
 
 enum class TargetOp { kWrite, kRead, kFlush };
 enum class Pattern { kCountdown, kEveryN, kOffsetRange, kPermanent };
-enum class PolicyKind { kNoRetry, kBounded, kDeadline, kSyncFallback };
+enum class PolicyKind { kNoRetry, kBounded, kDeadline };
 
 const char* name_of(TargetOp op) {
   switch (op) {
@@ -467,7 +465,6 @@ const char* name_of(PolicyKind pk) {
     case PolicyKind::kNoRetry: return "NoRetry";
     case PolicyKind::kBounded: return "Bounded";
     case PolicyKind::kDeadline: return "Deadline";
-    case PolicyKind::kSyncFallback: return "SyncFallback";
   }
   return "?";
 }
@@ -538,29 +535,43 @@ RetryPolicy make_policy(PolicyKind pk) {
       p.max_attempts = 100;
       p.deadline_seconds = 2.5;
       break;
-    case PolicyKind::kSyncFallback:
-      p.max_attempts = 2;
-      break;
   }
   return p;
 }
 
 struct Expected {
   bool success = true;
-  bool degraded = false;
   bool deadline_exhausted = false;
-  int attempts = 1;
   std::vector<double> sleeps;       // exact virtual backoff schedule
-  std::uint64_t retries = 0;        // io.retries == vol.async.retries
+  std::uint64_t retries = 0;        // io.retries == ResilientBackend::retries()
   std::uint64_t failed = 0;         // vol.async.failed_ops
   std::string fail_category;        // "" on success
+};
+
+/// The faulty backend the test plans faults on, under the resilient
+/// decorator the file sits on.  The breaker is off so each cell
+/// isolates the retry loop.
+struct FaultStack {
+  std::shared_ptr<storage::MemoryBackend> memory =
+      std::make_shared<storage::MemoryBackend>();
+  std::shared_ptr<FaultyBackend> faulty =
+      std::make_shared<FaultyBackend>(memory, FaultPlan{});
+  std::shared_ptr<storage::ResilientBackend> resilient;
+
+  FaultStack(const RetryPolicy& policy, ManualClock& manual) {
+    storage::ResilienceOptions options;
+    options.retry = policy;
+    options.enable_breaker = false;
+    resilient = std::make_shared<storage::ResilientBackend>(faulty, options,
+                                                            &manual, &manual);
+  }
 };
 
 Expected compute_expected(TargetOp op, Pattern pattern, PolicyKind pk) {
   Expected e;
   switch (pattern) {
     case Pattern::kPermanent:
-      // Never retried; sync-fallback replays but the replay faults too.
+      // Never retried.
       e.success = false;
       e.fail_category = "io";
       e.failed = 1;
@@ -576,34 +587,18 @@ Expected compute_expected(TargetOp op, Pattern pattern, PolicyKind pk) {
         case PolicyKind::kBounded:
           // Faults on attempts 1 and 2; the outage clears (heal_after_
           // faults = 2) and attempt 3 succeeds.
-          e.attempts = 3;
           e.sleeps = {1.0, 2.0};
           e.retries = 2;
           return e;
         case PolicyKind::kDeadline:
-          // Attempt 2's 2.0 s backoff would overrun the 2.5 s budget.
+          // Attempt 2's 2.0 s backoff would overrun the 2.5 s budget,
+          // anchored at the start of the backend call (t = 0).
           e.success = false;
-          e.attempts = 2;
           e.sleeps = {1.0};
           e.retries = 1;
           e.deadline_exhausted = true;
           e.fail_category = "transient-io";
           e.failed = 1;
-          return e;
-        case PolicyKind::kSyncFallback:
-          // Both allowed attempts fault (which clears the outage); the
-          // write replays synchronously and degrades, reads/flushes
-          // have no staged payload to replay and fail.
-          e.attempts = 2;
-          e.sleeps = {1.0};
-          e.retries = 1;
-          if (op == TargetOp::kWrite) {
-            e.degraded = true;
-          } else {
-            e.success = false;
-            e.fail_category = "transient-io";
-            e.failed = 1;
-          }
           return e;
       }
       return e;
@@ -620,7 +615,6 @@ Expected compute_expected(TargetOp op, Pattern pattern, PolicyKind pk) {
         return e;
       }
       // One fault, one retry, success — under every retrying policy.
-      e.attempts = 2;
       e.sleeps = {1.0};
       e.retries = 1;
       return e;
@@ -657,9 +651,10 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   const auto [op, pattern, pk] = GetParam();
   const Expected expected = compute_expected(op, pattern, pk);
 
-  auto memory = std::make_shared<storage::MemoryBackend>();
-  auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
-  auto file = h5::File::create(backend);
+  ManualClock manual;
+  FaultStack stack(make_policy(pk), manual);
+  auto& backend = stack.faulty;
+  auto file = h5::File::create(stack.resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
 
   // Baseline: 64 distinct ascending bytes, so the data region is
@@ -670,17 +665,11 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
     baseline[i] = static_cast<std::uint8_t>(i);
   }
   ds.write<std::uint8_t>(h5::Selection::all(), baseline);
-  const std::uint64_t data_offset = find_data_offset(*memory, baseline);
+  const std::uint64_t data_offset = find_data_offset(*stack.memory, baseline);
 
   backend->set_plan(make_plan(op, pattern, data_offset));
 
-  ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry = make_policy(pk);
-  options.sync_fallback = (pk == PolicyKind::kSyncFallback);
-  options.sleeper = &manual;
-  auto connector =
-      std::make_unique<vol::AsyncConnector>(file, options, &manual);
+  auto connector = std::make_unique<vol::AsyncConnector>(file);
 
   const std::vector<std::uint8_t> lead(16, 0xBB);
   const std::vector<std::uint8_t> payload(16, 0xAA);
@@ -726,9 +715,7 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   // Request outcome.
   EXPECT_TRUE(target->test());
   EXPECT_EQ(target->failed(), !expected.success);
-  EXPECT_EQ(target->attempts(), expected.attempts);
-  EXPECT_EQ(target->degraded(), expected.degraded);
-  EXPECT_EQ(target->deadline_exhausted(), expected.deadline_exhausted);
+  EXPECT_EQ(stack.resilient->retries(), expected.retries);
 
   // Exact virtual backoff schedule — nothing ever wall-slept.
   EXPECT_EQ(manual.sleeps(), expected.sleeps);
@@ -741,8 +728,6 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
     ASSERT_EQ(errors.size(), 1u);
     const vol::EventError& err = errors[0];
     EXPECT_EQ(err.category, expected.fail_category);
-    EXPECT_EQ(err.attempts, expected.attempts);
-    EXPECT_EQ(err.deadline_exhausted, expected.deadline_exhausted);
     EXPECT_NE(err.message.find("injected"), std::string::npos);
     EXPECT_EQ(err.info.op, to_io_op(op));
     if (op != TargetOp::kFlush) {
@@ -752,15 +737,10 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
     }
   }
 
-  // Obs counters: exact retry/degraded/deadline accounting.
+  // Obs counters: exact retry/deadline/failure accounting.
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(counter_total(snap, "io.retries"), expected.retries);
-  EXPECT_EQ(counter_total(snap, "vol.async.retries"), expected.retries);
   EXPECT_EQ(counter_total(snap, "vol.async.failed_ops"), expected.failed);
-  EXPECT_EQ(counter_total(snap, "vol.async.degraded_ops"),
-            expected.degraded ? 1u : 0u);
-  EXPECT_EQ(counter_total(snap, "io.degraded_ops"),
-            expected.degraded ? 1u : 0u);
   EXPECT_EQ(counter_total(snap, "io.deadline_exhausted"),
             expected.deadline_exhausted ? 1u : 0u);
   const auto hist = snap.histograms.find("io.retry_backoff_seconds");
@@ -774,10 +754,7 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   EXPECT_NEAR(backoff_sum, want_sum, 1e-6);
 
   // AsyncStats agree with the registry.
-  const auto stats = connector->stats();
-  EXPECT_EQ(stats.retries, expected.retries);
-  EXPECT_EQ(stats.failed_ops, expected.failed);
-  EXPECT_EQ(stats.degraded_ops, expected.degraded ? 1u : 0u);
+  EXPECT_EQ(connector->stats().failed_ops, expected.failed);
 
   // Reopen through the format-integrity path (File::open validates the
   // superblock and metadata checksums) and check the final bytes.
@@ -815,7 +792,7 @@ INSTANTIATE_TEST_SUITE_P(
         testing::Values(Pattern::kCountdown, Pattern::kEveryN,
                         Pattern::kOffsetRange, Pattern::kPermanent),
         testing::Values(PolicyKind::kNoRetry, PolicyKind::kBounded,
-                        PolicyKind::kDeadline, PolicyKind::kSyncFallback)),
+                        PolicyKind::kDeadline)),
     [](const testing::TestParamInfo<ResilienceMatrixTest::ParamType>& info) {
       return std::string(name_of(std::get<0>(info.param))) + "_" +
              name_of(std::get<1>(info.param)) + "_" +
@@ -834,18 +811,16 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
   constexpr std::uint64_t kChunk = 16;
   constexpr std::uint64_t kTotal = kRanks * kChunksPerRank * kChunk;
 
-  auto backend = std::make_shared<FaultyBackend>(
-      std::make_shared<storage::MemoryBackend>(), FaultPlan{});
-  auto file = h5::File::create(backend);
-  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kTotal});
-
   ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry.max_attempts = 100;
-  options.retry.base_backoff_seconds = 0.001;
-  options.retry.max_backoff_seconds = 0.01;
-  options.sleeper = &manual;
-  vol::AsyncConnector connector(file, options, &manual);
+  RetryPolicy policy;
+  policy.max_attempts = 100;
+  policy.base_backoff_seconds = 0.001;
+  policy.max_backoff_seconds = 0.01;
+  FaultStack stack(policy, manual);
+  auto& backend = stack.faulty;
+  auto file = h5::File::create(stack.resilient);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kTotal});
+  vol::AsyncConnector connector(file);
 
   FaultPlan plan;
   plan.fail_every_n_writes = 5;
@@ -875,15 +850,13 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
   // so exactly 7 faults were injected and 7 retries re-executed.
   const auto stats = connector.stats();
   EXPECT_EQ(stats.writes_enqueued, 32u);
-  EXPECT_EQ(stats.retries, 7u);
   EXPECT_EQ(stats.failed_ops, 0u);
-  EXPECT_EQ(stats.degraded_ops, 0u);
+  EXPECT_EQ(stack.resilient->retries(), 7u);
   EXPECT_EQ(backend->faults_injected(), 7u);
 
-  // Registry agrees with AsyncStats.
+  // The registry agrees.
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(counter_total(snap, "io.retries"), 7u);
-  EXPECT_EQ(counter_total(snap, "vol.async.retries"), 7u);
   EXPECT_EQ(counter_total(snap, "vol.async.failed_ops"), 0u);
 
   backend->heal();
@@ -901,9 +874,13 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
 }
 
 TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
-  auto memory = std::make_shared<storage::MemoryBackend>();
-  auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
-  auto file = h5::File::create(backend);
+  ManualClock manual;
+  RetryPolicy policy;
+  policy.max_attempts = 5;
+  policy.base_backoff_seconds = 0.001;
+  FaultStack stack(policy, manual);
+  auto& backend = stack.faulty;
+  auto file = h5::File::create(stack.resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
 
   std::vector<std::uint8_t> baseline(64);
@@ -911,7 +888,7 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
     baseline[i] = static_cast<std::uint8_t>(i);
   }
   ds.write<std::uint8_t>(h5::Selection::all(), baseline);
-  const std::uint64_t data_offset = find_data_offset(*memory, baseline);
+  const std::uint64_t data_offset = find_data_offset(*stack.memory, baseline);
 
   // The whole data region faults transiently and never heals: every
   // data write retries to exhaustion while metadata traffic (other
@@ -921,13 +898,7 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   plan.fault_offset_end = data_offset + 64;
   plan.transient = true;
   backend->set_plan(plan);
-
-  ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry.max_attempts = 5;
-  options.retry.base_backoff_seconds = 0.001;
-  options.sleeper = &manual;
-  vol::AsyncConnector connector(file, options, &manual);
+  vol::AsyncConnector connector(file);
 
   const std::vector<std::uint8_t> payload(16, 0xAA);
   std::vector<vol::RequestPtr> requests;
@@ -944,12 +915,11 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   for (const auto& req : requests) {
     EXPECT_TRUE(req->test());
     EXPECT_TRUE(req->failed());
-    EXPECT_EQ(req->attempts(), 5);
     EXPECT_EQ(req->error_category(), "transient-io");
   }
-  const auto stats = connector.stats();
-  EXPECT_EQ(stats.failed_ops, 4u);
-  EXPECT_EQ(stats.retries, 16u);  // 4 ops x 4 re-executions each
+  EXPECT_EQ(connector.stats().failed_ops, 4u);
+  EXPECT_EQ(stack.resilient->retries(), 16u);  // 4 ops x 4 re-executions each
+  EXPECT_EQ(backend->faults_injected(), 20u);  // 4 ops x 5 attempts each
 
   // The container survived: baseline intact under checksum validation.
   backend->heal();
@@ -966,7 +936,7 @@ TEST(ResilienceCheckpointTest, FaultsDegradeRunInsteadOfAborting) {
   auto backend = std::make_shared<FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), FaultPlan{});
   auto file = h5::File::create(backend);
-  vol::AsyncConnector connector(file);  // default policy: no retries
+  vol::AsyncConnector connector(file);  // no resilient layer: no retries
 
   // 3 checkpoints x 2 ranks = 6 data writes (metadata stays in memory
   // until flush); every 3rd faults permanently -> exactly 2 failures.

@@ -240,14 +240,6 @@ TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
   EXPECT_EQ(stats.tenants.at("t").deadline_misses, 1u);
 }
 
-TEST(FairSchedulerTest, DeadlineComposesWithRetryPolicy) {
-  resilience::RetryPolicy policy;
-  policy.deadline_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(IoRequest::deadline_from(policy, 5.0), 7.0);
-  policy.deadline_seconds = 0.0;
-  EXPECT_DOUBLE_EQ(IoRequest::deadline_from(policy, 5.0), 0.0);
-}
-
 TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
   resilience::ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});

@@ -4,8 +4,9 @@
 // attribution, telemetry export formats, and the end-to-end acceptance
 // scenario — one async write surviving two injected transient faults
 // must yield ONE trace whose span tree shows the queue wait, the
-// admission, all three attempts, both backoffs and the leaf backend,
-// with per-phase self times summing to the request's wall time.
+// admission, the connector's one attempt, the resilient layer's two
+// backoffs and its three tries down the stack, with per-phase self
+// times summing to the request's wall time.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,10 +22,9 @@
 #include "obs/trace_context.h"
 #include "resilience/retry.h"
 #include "sched/fair_scheduler.h"
+#include "storage/backend_stack.h"
 #include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
-#include "storage/qos_backend.h"
-#include "storage/throttled_backend.h"
 #include "vol/async_connector.h"
 
 namespace apio {
@@ -351,48 +351,48 @@ TEST_F(TraceCollectorTest, ExporterWritesPromAndJsonlFiles) {
 // causal trace.
 
 TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
-  // Stack: qos(faulty(throttled(memory))) — the throttle makes the
-  // successful attempt's backend time dominate the request, so the
+  // Stack: qos(resilient(throttled(faulty(memory)))) — the throttle
+  // makes each try's backend time dominate the request, so the
   // sub-microsecond bookkeeping overlap at submit time stays far below
   // the 1% decomposition tolerance asserted at the end.
   storage::ThrottleParams throttle;
   throttle.bandwidth = 4.0 * kMiB;
   throttle.latency = 2e-3;
-  auto throttled = std::make_shared<storage::ThrottledBackend>(
-      std::make_shared<storage::MemoryBackend>(), throttle);
   auto faulty = std::make_shared<storage::FaultyBackend>(
-      throttled, storage::FaultPlan{});
+      std::make_shared<storage::MemoryBackend>(), storage::FaultPlan{});
+  resilience::ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 3;
+  ro.retry.base_backoff_seconds = 1.0;
+  ro.retry.backoff_multiplier = 2.0;
+  ro.retry.max_backoff_seconds = 8.0;
+  ro.retry.jitter_fraction = 0.0;
   auto scheduler = std::make_shared<sched::FairScheduler>();
-  auto qos = std::make_shared<storage::QosBackend>(faulty, scheduler);
+  auto stack = storage::BackendStack::wrap(faulty)
+                   .throttled(throttle)
+                   .resilient(ro, &manual, &manual)
+                   .qos(scheduler)
+                   .build();
 
-  auto file = h5::File::create(qos);
+  auto file = h5::File::create(stack);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
 
   // Arm AFTER metadata creation: the write stream is clean until the
   // request under test arrives.  Two transient faults, then the outage
-  // clears — attempt 3 must succeed.
+  // clears — the third try must succeed.
   storage::FaultPlan outage;
   outage.fail_writes_after = 0;
   outage.transient = true;
   outage.heal_after_faults = 2;
   faulty->set_plan(outage);
-
-  resilience::ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry.max_attempts = 3;
-  options.retry.base_backoff_seconds = 1.0;
-  options.retry.backoff_multiplier = 2.0;
-  options.retry.max_backoff_seconds = 8.0;
-  options.retry.jitter_fraction = 0.0;
-  options.sleeper = &manual;
-  auto connector = std::make_unique<vol::AsyncConnector>(file, options, &manual);
+  auto connector = std::make_unique<vol::AsyncConnector>(file);
 
   const std::vector<std::uint8_t> payload(32, 0xAB);
   auto request = connector->dataset_write(
       ds, h5::Selection::offsets({0}, {32}), bytes_of(payload));
   request->wait();
   EXPECT_FALSE(request->failed());
-  EXPECT_EQ(request->attempts(), 3);
+  EXPECT_EQ(faulty->faults_injected(), 2u);
   EXPECT_EQ(manual.sleeps(), (std::vector<double>{1.0, 2.0}));
   connector->close();
 
@@ -405,30 +405,34 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   EXPECT_FALSE(trace->failed);
 
   // The full causal story: submission + staging on the issuing thread,
-  // the FIFO and pool handoffs, one queue wait + admission per attempt,
-  // exactly three attempts with two backoffs between them, and the
-  // decorator/leaf backend spans of the successful attempt.
+  // the FIFO and pool handoffs, the queue wait + admission, the
+  // connector's single attempt, and inside it the resilient layer's
+  // two backoffs between its three tries down the stack.
   EXPECT_GE(count_phase(*trace, Phase::kSubmit), 1);
   EXPECT_GE(count_phase(*trace, Phase::kStageCopy), 1);
   EXPECT_EQ(count_phase(*trace, Phase::kFifoWait), 1);
   EXPECT_GE(count_phase(*trace, Phase::kPoolWait), 1);
   EXPECT_GE(count_phase(*trace, Phase::kQueueWait), 1);
   EXPECT_GE(count_phase(*trace, Phase::kAdmission), 1);
-  EXPECT_EQ(count_phase(*trace, Phase::kAttempt), 3);
+  EXPECT_EQ(count_phase(*trace, Phase::kAttempt), 1);
   EXPECT_EQ(count_phase(*trace, Phase::kBackoff), 2);
-  EXPECT_GE(count_phase(*trace, Phase::kBackend), 1);
   EXPECT_EQ(count_phase(*trace, Phase::kComplete), 1);
 
-  // The throttled decorator and the memory leaf both label their spans.
-  bool saw_throttled = false;
-  bool saw_memory = false;
+  // Each layer labels its backend spans.  The resilient span wraps all
+  // three tries; the throttle sees each of them; the injected faults
+  // fire before the memory leaf, so only the third try reaches it.
+  int resilient_spans = 0;
+  int throttled_spans = 0;
+  int memory_spans = 0;
   for (const auto& s : trace->spans) {
     if (s.phase != Phase::kBackend) continue;
-    saw_throttled |= s.detail == "throttled";
-    saw_memory |= s.detail == "memory";
+    resilient_spans += s.detail == "resilient" ? 1 : 0;
+    throttled_spans += s.detail == "throttled" ? 1 : 0;
+    memory_spans += s.detail == "memory" ? 1 : 0;
   }
-  EXPECT_TRUE(saw_throttled);
-  EXPECT_TRUE(saw_memory);
+  EXPECT_EQ(resilient_spans, 1);
+  EXPECT_EQ(throttled_spans, 3);
+  EXPECT_EQ(memory_spans, 1);
 
   // Per-phase self times decompose the request's wall time.  The 1%
   // fidelity bound is the acceptance criterion in a plain build;

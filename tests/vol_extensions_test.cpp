@@ -1,5 +1,5 @@
-// Tests for the VOL extensions: event sets (H5ES semantics), the
-// passthrough/stacking connector, and SSD-staged transactional copies.
+// Tests for the VOL extensions: event sets (H5ES semantics) and the
+// passthrough/stacking connector.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -15,9 +15,9 @@
 namespace apio::vol {
 namespace {
 
-std::shared_ptr<AsyncConnector> make_async(AsyncOptions options = {}) {
-  auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
-  return std::make_shared<AsyncConnector>(std::move(file), options);
+std::shared_ptr<AsyncConnector> make_async() {
+  return std::make_shared<AsyncConnector>(
+      h5::File::create(std::make_shared<storage::MemoryBackend>()));
 }
 
 // ---------------------------------------------------------------------------
@@ -152,65 +152,6 @@ TEST(PassthroughTest, DoubleStackingComposes) {
 
 TEST(PassthroughTest, RequiresInner) {
   EXPECT_THROW(PassthroughConnector(nullptr), InvalidArgumentError);
-}
-
-// ---------------------------------------------------------------------------
-// SSD-staged transactional copies
-
-TEST(SsdStagingTest, WritesLandViaStagingDevice) {
-  AsyncOptions options;
-  auto ssd = std::make_shared<storage::MemoryBackend>();  // stands in for NVMe
-  options.staging_backend = ssd;
-  auto conn = make_async(options);
-  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kInt32, {64});
-  std::vector<std::int32_t> values(64);
-  std::iota(values.begin(), values.end(), 100);
-  auto req = conn->dataset_write(ds, h5::Selection::all(),
-                                 std::as_bytes(std::span<const std::int32_t>(values)));
-  req->wait();
-  EXPECT_EQ(ds.read_vector<std::int32_t>(h5::Selection::all()), values);
-  // The staging device really carried the bytes.
-  EXPECT_GE(ssd->stats().bytes_written, 64u * sizeof(std::int32_t));
-  EXPECT_GE(ssd->stats().bytes_read, 64u * sizeof(std::int32_t));
-  conn->close();
-}
-
-TEST(SsdStagingTest, CallerBufferReusableImmediately) {
-  AsyncOptions options;
-  options.staging_backend = std::make_shared<storage::MemoryBackend>();
-  storage::ThrottleParams throttle;
-  throttle.bandwidth = 4.0 * 1024 * 1024;
-  throttle.time_scale = 1.0;
-  auto pfs = storage::BackendStack::memory().throttled(throttle).build();
-  auto conn = std::make_shared<AsyncConnector>(h5::File::create(pfs), options);
-  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kInt32, {1024});
-  std::vector<std::int32_t> buffer(1024);
-  std::iota(buffer.begin(), buffer.end(), 0);
-  auto req = conn->dataset_write(ds, h5::Selection::all(),
-                                 std::as_bytes(std::span<const std::int32_t>(buffer)));
-  std::fill(buffer.begin(), buffer.end(), -1);  // clobber immediately
-  req->wait();
-  auto stored = ds.read_vector<std::int32_t>(h5::Selection::all());
-  for (int i = 0; i < 1024; ++i) EXPECT_EQ(stored[i], i);
-  conn->close();
-}
-
-TEST(SsdStagingTest, SequentialWritesUseDistinctRegions) {
-  AsyncOptions options;
-  auto ssd = std::make_shared<storage::MemoryBackend>();
-  options.staging_backend = ssd;
-  auto conn = make_async(options);
-  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kInt32, {8});
-  for (std::int32_t round = 0; round < 4; ++round) {
-    std::vector<std::int32_t> v(8, round);
-    conn->dataset_write(ds, h5::Selection::all(),
-                        std::as_bytes(std::span<const std::int32_t>(v)));
-  }
-  conn->wait_all();
-  EXPECT_EQ(ds.read_vector<std::int32_t>(h5::Selection::all())[0], 3);
-  // Bump allocation: 4 writes x 32 bytes on the device.
-  EXPECT_EQ(ssd->size(), 4u * 32);
-  conn->close();
 }
 
 }  // namespace

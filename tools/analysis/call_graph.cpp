@@ -833,8 +833,7 @@ std::string CodeModel::member_type_of(const std::string& cls,
                                       const std::string& var) const {
   auto it = member_types.find({cls, var});
   if (it != member_types.end()) return it->second;
-  // Globally unique member name (e.g. `session` only ever means
-  // AsyncOp's RetrySession member).
+  // Globally unique member name: one type whichever class declares it.
   std::string found;
   for (const auto& [key, type] : member_types) {
     if (key.second != var) continue;

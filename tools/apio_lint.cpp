@@ -23,7 +23,13 @@
 //                 injector; wiring it into library code under src/
 //                 (outside its own definition) would ship injected
 //                 failures.  Production resilience goes through
-//                 storage::ResilientBackend / AsyncOptions::retry.
+//                 storage::ResilientBackend.
+//   retry-loop    retry lives in one place: under src/, only
+//                 src/resilience/ and storage/resilient_backend.{h,cpp}
+//                 may name resilience::RetrySession or run_with_retry.
+//                 A second retry loop (say, in the async connector)
+//                 would stack its attempts on top of the backend
+//                 stack's and split the retry accounting.
 //   cached-backend  storage::CachedBackend must be constructed through
 //                 BackendStack::cached(), never directly: the stack
 //                 builder is what enforces the decorator-order
@@ -106,6 +112,9 @@ void lint_file(const fs::path& root, const fs::path& file) {
   const bool is_faulty_backend_impl =
       file.filename() == "faulty_backend.h" ||
       file.filename() == "faulty_backend.cpp";
+  const bool may_retry = path_under(file, root / "src" / "resilience") ||
+                         file.filename() == "resilient_backend.h" ||
+                         file.filename() == "resilient_backend.cpp";
   const bool is_cached_backend_impl =
       file.filename() == "cached_backend.h" ||
       file.filename() == "cached_backend.cpp" ||
@@ -154,8 +163,17 @@ void lint_file(const fs::path& root, const fs::path& file) {
         !waived(raw, "faulty-backend")) {
       report(sf.path, lineno, "faulty-backend",
              "FaultyBackend is a test-only fault injector and must not be "
-             "wired into library code; use storage::ResilientBackend or "
-             "AsyncOptions::retry for production resilience");
+             "wired into library code; use storage::ResilientBackend "
+             "for production resilience");
+    }
+
+    if (in_src && !may_retry &&
+        (has_token(code, "RetrySession") || has_token(code, "run_with_retry")) &&
+        !waived(raw, "retry-loop")) {
+      report(sf.path, lineno, "retry-loop",
+             "retry lives in storage::ResilientBackend (run_with_retry); "
+             "wrap the backend with BackendStack::resilient() instead of "
+             "adding a second retry loop");
     }
 
     if (!is_cached_backend_impl &&
