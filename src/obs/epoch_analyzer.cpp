@@ -8,6 +8,7 @@
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/telemetry.h"
 
 namespace apio::obs {
 
@@ -462,25 +463,19 @@ std::string EpochReport::to_chrome_json() const {
     }
   }
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const char* name, int tid, double start, double dur,
+  trace::ChromeTraceWriter writer;
+  auto emit = [&](const std::string& name, int tid, double start, double dur,
                   std::int64_t epoch, std::uint64_t bytes) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << name << "\",\"cat\":\"epoch\",\"ph\":\"X\","
-       << "\"pid\":0,\"tid\":" << tid << ",\"ts\":" << (start - t0) * 1e6
-       << ",\"dur\":" << dur * 1e6 << ",\"args\":{\"epoch\":" << epoch
-       << ",\"bytes\":" << bytes << "}}";
+    writer.complete(name, "epoch", tid, start - t0, dur,
+                    "\"epoch\":" + std::to_string(epoch) +
+                        ",\"bytes\":" + std::to_string(bytes));
   };
 
   std::map<int, bool> ranks_seen;
   for (const auto& e : epochs) {
     for (const auto& r : e.per_rank) {
       ranks_seen.emplace(r.rank, true);
-      const std::string name = "epoch#" + std::to_string(e.epoch);
-      emit(name.c_str(), r.rank * 2, r.begin_seconds,
+      emit("epoch#" + std::to_string(e.epoch), r.rank * 2, r.begin_seconds,
            r.observed_seconds(), e.epoch, r.bytes);
       if (r.t_comp > 0.0) {
         emit("compute", r.rank * 2, r.compute_start_seconds, r.t_comp, e.epoch,
@@ -494,15 +489,14 @@ std::string EpochReport::to_chrome_json() const {
     }
   }
   for (const auto& [rank, _] : ranks_seen) {
-    os << (first ? "" : ",");
-    first = false;
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
-       << rank * 2 << ",\"args\":{\"name\":\"rank " << rank << " epochs\"}},"
-       << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
-       << rank * 2 + 1 << ",\"args\":{\"name\":\"rank " << rank << " io\"}}";
+    for (int io = 0; io < 2; ++io) {
+      writer.event("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                   "\"tid\":" + std::to_string(rank * 2 + io) +
+                   ",\"args\":{\"name\":\"rank " + std::to_string(rank) +
+                   (io == 0 ? " epochs" : " io") + "\"}}");
+    }
   }
-  os << "]}";
-  return os.str();
+  return writer.str();
 }
 
 }  // namespace apio::obs

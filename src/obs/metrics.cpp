@@ -15,6 +15,8 @@ std::atomic<int> g_next_slot{0};
 
 thread_local int t_shard = -1;
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -37,8 +39,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }

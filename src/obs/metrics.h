@@ -35,6 +35,11 @@ inline constexpr std::size_t kShards = 16;
 int thread_shard();
 void set_thread_shard(int shard);
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// every control character escaped.  Shared by all of obs's JSON
+/// exports, which embed user strings (tenant names, span details).
+std::string json_escape(const std::string& s);
+
 /// Monotone counter, sharded per thread slot.
 class Counter {
  public:

@@ -1,62 +1,16 @@
 #include "obs/span.h"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
+#include <chrono>
 
-#include "common/units.h"
 #include "obs/metrics.h"
 
 namespace apio::obs {
 
 namespace {
 
-std::atomic<bool> g_tracing{false};
-std::atomic<int> g_next_tid{1};
-
 thread_local int t_rank = -1;
-thread_local int t_stream = -1;
-thread_local int t_tid = 0;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
-
-const char* to_string(Category category) {
-  switch (category) {
-    case Category::kVol: return "vol";
-    case Category::kTasking: return "tasking";
-    case Category::kPmpi: return "pmpi";
-    case Category::kStorage: return "storage";
-    case Category::kTool: return "tool";
-    case Category::kApp: return "app";
-  }
-  return "?";
-}
-
-bool tracing_enabled() { return g_tracing.load(std::memory_order_relaxed); }
-void set_tracing_enabled(bool on) { g_tracing.store(on, std::memory_order_relaxed); }
 
 int thread_rank() { return t_rank; }
 void set_thread_rank(int rank) {
@@ -66,154 +20,24 @@ void set_thread_rank(int rank) {
   if (rank >= 0) set_thread_shard(rank);
 }
 
-int thread_stream() { return t_stream; }
-void set_thread_stream(int stream) { t_stream = stream; }
-
-int thread_tid() {
-  if (t_tid == 0) t_tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
-  return t_tid;
-}
-
 double steady_seconds() {
   using namespace std::chrono;
   return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
 
-// ---------------------------------------------------------------------------
-// Tracer
-
-Tracer::Tracer() : epoch_(steady_seconds()) {}
-
-Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
-}
-
-void Tracer::record(SpanRecord span) {
-  std::lock_guard lock(mutex_);
-  spans_.push_back(std::move(span));
-}
-
-std::vector<SpanRecord> Tracer::spans() const {
-  std::lock_guard lock(mutex_);
-  return spans_;
-}
-
-std::size_t Tracer::size() const {
-  std::lock_guard lock(mutex_);
-  return spans_.size();
-}
-
-void Tracer::clear() {
-  std::lock_guard lock(mutex_);
-  spans_.clear();
-}
-
-std::string Tracer::to_chrome_json() const {
-  const auto spans = this->spans();
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const auto& s : spans) {
-    if (!first) os << ',';
-    first = false;
-    // Thread lanes: rank threads land on tid 1000+rank, stream workers
-    // on 2000+stream, everything else on its raw tid — so ranks and
-    // background streams separate visually in the viewer.
-    int tid = s.tid;
-    if (s.rank >= 0) tid = 1000 + s.rank;
-    else if (s.stream >= 0) tid = 2000 + s.stream;
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"cat\":\""
-       << to_string(s.category) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << tid
-       << ",\"ts\":" << s.start_seconds * 1e6
-       << ",\"dur\":" << s.duration_seconds * 1e6 << ",\"args\":{\"bytes\":"
-       << s.bytes << ",\"rank\":" << s.rank << ",\"stream\":" << s.stream
-       << "}}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string Tracer::summary() const {
-  struct Agg {
-    std::uint64_t count = 0;
-    double total = 0.0;
-    double max = 0.0;
-    std::uint64_t bytes = 0;
-  };
-  std::map<std::pair<std::string, std::string>, Agg> table;
-  for (const auto& s : spans()) {
-    auto& a = table[{to_string(s.category), s.name}];
-    ++a.count;
-    a.total += s.duration_seconds;
-    a.max = std::max(a.max, s.duration_seconds);
-    a.bytes += s.bytes;
-  }
-  std::ostringstream os;
-  os << "span summary (category/name: count, total, mean, max, bytes)\n";
-  for (const auto& [key, a] : table) {
-    os << "  " << key.first << '/' << key.second << ": n=" << a.count
-       << " total=" << format_seconds(a.total)
-       << " mean=" << format_seconds(a.total / static_cast<double>(a.count))
-       << " max=" << format_seconds(a.max);
-    if (a.bytes > 0) os << " bytes=" << format_bytes(a.bytes);
-    os << '\n';
-  }
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// ScopedSpan
-
-void ScopedSpan::finish() {
-  if (!active_) return;
-  active_ = false;
-  SpanRecord span;
-  span.name = name_;
-  span.category = category_;
-  span.rank = thread_rank();
-  span.stream = thread_stream();
-  span.tid = thread_tid();
-  span.start_seconds = start_ - Tracer::instance().epoch_seconds();
-  span.duration_seconds = steady_seconds() - start_;
-  span.bytes = bytes_;
-  Tracer::instance().record(std::move(span));
-}
-
-// ---------------------------------------------------------------------------
-// TimedOp
-
-TimedOp::TimedOp(const char* span_name, Category category, Histogram& latency,
-                 Counter* bytes_counter, std::uint64_t bytes)
+TimedOp::TimedOp(Histogram& latency, Counter* bytes_counter,
+                 std::uint64_t bytes)
     : metrics_(enabled()),
-      tracing_(tracing_enabled()),
-      name_(span_name),
-      category_(category),
       latency_(&latency),
       bytes_counter_(bytes_counter),
       bytes_(bytes) {
-  if (metrics_ || tracing_) start_ = steady_seconds();
+  if (metrics_) start_ = steady_seconds();
 }
 
 TimedOp::~TimedOp() {
-  if (!metrics_ && !tracing_) return;
-  const double dt = steady_seconds() - start_;
-  if (metrics_) {
-    latency_->record_seconds(dt);
-    if (bytes_counter_ != nullptr) bytes_counter_->add(bytes_);
-  }
-  if (tracing_) {
-    SpanRecord span;
-    span.name = name_;
-    span.category = category_;
-    span.rank = thread_rank();
-    span.stream = thread_stream();
-    span.tid = thread_tid();
-    span.start_seconds = start_ - Tracer::instance().epoch_seconds();
-    span.duration_seconds = dt;
-    span.bytes = bytes_;
-    Tracer::instance().record(std::move(span));
-  }
+  if (!metrics_) return;
+  latency_->record_seconds(steady_seconds() - start_);
+  if (bytes_counter_ != nullptr) bytes_counter_->add(bytes_);
 }
 
 }  // namespace apio::obs

@@ -1,152 +1,39 @@
-// Span tracing: begin/end spans with a category, rank and stream id,
-// exported as Chrome trace_event JSON (load into chrome://tracing or
-// Perfetto) and as a plain-text per-category summary.
+// Thread identity, the steady clock, and the per-operation metrics
+// guard shared by every instrumented layer.
 //
-// Disabled by default; every instrumentation site starts with a relaxed
-// atomic check so the cost of compiled-in tracing is one branch.  When
-// enabled, finished spans append to a guarded process-wide buffer —
-// tracing is a profiling mode, not a production hot path, so a mutex
-// per completed span (one per I/O operation / task / barrier) is cheap
-// relative to the operations being traced.
+// Per-request spans live in obs/trace_context.h (the one span stream);
+// this header only labels threads with their pmpi rank and times
+// operations into latency histograms.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace apio::obs {
 
-/// Layer the span belongs to; becomes the Chrome trace "cat" field.
-enum class Category : std::uint8_t {
-  kVol = 0,
-  kTasking,
-  kPmpi,
-  kStorage,
-  kTool,
-  kApp,
-};
-
-const char* to_string(Category category);
-
-/// One finished span.
-struct SpanRecord {
-  std::string name;
-  Category category = Category::kApp;
-  /// pmpi rank of the emitting thread (-1 outside an SPMD region).
-  int rank = -1;
-  /// Background execution-stream id (-1 on application threads).
-  int stream = -1;
-  /// Stable small integer identifying the emitting thread.
-  int tid = 0;
-  /// Seconds since the tracer epoch at which the span began.
-  double start_seconds = 0.0;
-  double duration_seconds = 0.0;
-  /// Payload bytes the span moved (0 when not applicable).
-  std::uint64_t bytes = 0;
-};
-
-/// Global tracing switch; independent of the metrics switch so traces
-/// (which accumulate memory) can be off while counters run.
-bool tracing_enabled();
-void set_tracing_enabled(bool on);
-
-/// Thread identity used to label spans.  The rank is set by pmpi::run
-/// for rank threads; the stream id by ExecutionStream workers.
+/// pmpi rank of the calling thread (-1 outside an SPMD region).  Set by
+/// pmpi::run for rank threads; recorded on every trace span.
 int thread_rank();
 void set_thread_rank(int rank);
-int thread_stream();
-void set_thread_stream(int stream);
-int thread_tid();
 
 /// Monotonic wall time in seconds (steady_clock).
 double steady_seconds();
 
-class Tracer {
- public:
-  static Tracer& instance();
-
-  /// Seconds on the steady clock at tracer construction; span starts
-  /// are stored relative to this.
-  double epoch_seconds() const { return epoch_; }
-
-  void record(SpanRecord span);
-
-  std::vector<SpanRecord> spans() const;
-  std::size_t size() const;
-  void clear();
-
-  /// Chrome trace_event JSON object: {"traceEvents":[...],...}.
-  /// Complete "X" (duration) events; ts/dur in microseconds; pid 0;
-  /// tid encodes rank/stream/thread.
-  std::string to_chrome_json() const;
-
-  /// Per (category, name) count / total / mean / max table.
-  std::string summary() const;
-
- private:
-  Tracer();
-
-  mutable std::mutex mutex_;
-  std::vector<SpanRecord> spans_;
-  double epoch_;
-};
-
-/// RAII span: samples the clock on construction when tracing is
-/// enabled, records on destruction.  Near-zero cost when disabled.
-class ScopedSpan {
- public:
-  ScopedSpan(const char* name, Category category, std::uint64_t bytes = 0)
-      : active_(tracing_enabled()) {
-    if (active_) {
-      name_ = name;
-      category_ = category;
-      bytes_ = bytes;
-      start_ = steady_seconds();
-    }
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  ~ScopedSpan() { finish(); }
-
-  /// Updates the byte payload after construction (e.g. once known).
-  void set_bytes(std::uint64_t bytes) { bytes_ = bytes; }
-
-  /// Ends the span early (idempotent; the destructor becomes a no-op).
-  void finish();
-
- private:
-  bool active_ = false;
-  const char* name_ = "";
-  Category category_ = Category::kApp;
-  std::uint64_t bytes_ = 0;
-  double start_ = 0.0;
-};
-
-/// Times one operation into both pillars: a latency histogram + byte
-/// counter when metrics are enabled, and a span when tracing is.  The
-/// metric references are cached by the caller (function-local statics)
-/// so the per-op cost is two relaxed loads when everything is off.
 class Histogram;
 class Counter;
 
+/// Times one operation into a latency histogram (+ optional byte
+/// counter) when metrics are enabled.  The metric references are cached
+/// by the caller (function-local statics), so the per-op cost is one
+/// relaxed load and no clock read when metrics are off.
 class TimedOp {
  public:
-  TimedOp(const char* span_name, Category category, Histogram& latency,
-          Counter* bytes_counter, std::uint64_t bytes);
+  TimedOp(Histogram& latency, Counter* bytes_counter, std::uint64_t bytes);
   TimedOp(const TimedOp&) = delete;
   TimedOp& operator=(const TimedOp&) = delete;
   ~TimedOp();
 
  private:
   bool metrics_;
-  bool tracing_;
-  const char* name_;
-  Category category_;
   Histogram* latency_;
   Counter* bytes_counter_;
   std::uint64_t bytes_;

@@ -1,6 +1,7 @@
 #include "obs/telemetry.h"
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -18,13 +19,6 @@ std::string prom_name(const std::string& name) {
     out.push_back(ok ? c : '_');
   }
   return out;
-}
-
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
 }
 
 }  // namespace
@@ -79,9 +73,8 @@ std::string trace_to_json(const CompletedTrace& trace) {
     os << ",\"parent_trace_id\":" << trace.parent_trace_id
        << ",\"parent_span_id\":" << trace.parent_span_id;
   }
-  os << ",\"op\":\"" << to_string(trace.op) << "\",\"tenant\":\"";
-  append_escaped(os, trace.tenant);
-  os << "\",\"bytes\":" << trace.bytes
+  os << ",\"op\":\"" << to_string(trace.op) << "\",\"tenant\":\""
+     << json_escape(trace.tenant) << "\",\"bytes\":" << trace.bytes
      << ",\"failed\":" << (trace.failed ? "true" : "false")
      << ",\"start\":" << trace.start_seconds
      << ",\"duration\":" << trace.duration_seconds << ",\"spans\":[";
@@ -93,15 +86,73 @@ std::string trace_to_json(const CompletedTrace& trace) {
        << ",\"duration\":" << s.duration_seconds << ",\"bytes\":" << s.bytes
        << ",\"rank\":" << s.rank;
     if (!s.detail.empty()) {
-      os << ",\"detail\":\"";
-      append_escaped(os, s.detail);
-      os << "\"";
+      os << ",\"detail\":\"" << json_escape(s.detail) << "\"";
     }
     os << "}";
     first = false;
   }
   os << "]}";
   return os.str();
+}
+
+void ChromeTraceWriter::complete(const std::string& name,
+                                 const std::string& cat, int tid,
+                                 double start_seconds, double duration_seconds,
+                                 const std::string& args) {
+  char times[96];
+  std::snprintf(times, sizeof times, "\"ts\":%.3f,\"dur\":%.3f",
+                start_seconds * 1e6, duration_seconds * 1e6);
+  event("{\"name\":\"" + json_escape(name) + "\",\"cat\":\"" +
+        json_escape(cat) + "\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
+        std::to_string(tid) + "," + times + ",\"args\":{" + args + "}}");
+}
+
+void ChromeTraceWriter::event(const std::string& json) {
+  if (!events_.empty()) events_ += ',';
+  events_ += json;
+}
+
+std::string ChromeTraceWriter::str() const {
+  return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[" + events_ + "]}";
+}
+
+std::string traces_to_chrome_json(const std::vector<CompletedTrace>& traces) {
+  double t0 = 0.0;
+  bool have_t0 = false;
+  auto earliest = [&](double t) {
+    if (!have_t0 || t < t0) t0 = t;
+    have_t0 = true;
+  };
+  for (const auto& t : traces) {
+    earliest(t.start_seconds);
+    for (const auto& s : t.spans) earliest(s.start_seconds);
+  }
+  auto lane = [](int rank) { return rank >= 0 ? 1000 + rank : kBackgroundLane; };
+
+  ChromeTraceWriter writer;
+  for (const auto& t : traces) {
+    const std::string id = "\"trace_id\":" + std::to_string(t.trace_id);
+    int root_rank = -1;
+    for (const auto& s : t.spans) {
+      if (s.rank >= 0) {
+        root_rank = s.rank;
+        break;
+      }
+    }
+    writer.complete(to_string(t.op), "request", lane(root_rank),
+                    t.start_seconds - t0, t.duration_seconds,
+                    id + ",\"bytes\":" + std::to_string(t.bytes) +
+                        ",\"tenant\":\"" + json_escape(t.tenant) + "\"" +
+                        (t.failed ? ",\"failed\":true" : ""));
+    for (const auto& s : t.spans) {
+      const std::string phase = phase_name(s.phase);
+      writer.complete(phase, phase, lane(s.rank), s.start_seconds - t0,
+                      s.duration_seconds,
+                      id + ",\"bytes\":" + std::to_string(s.bytes) +
+                          ",\"detail\":\"" + json_escape(s.detail) + "\"");
+    }
+  }
+  return writer.str();
 }
 
 TelemetryExporter::TelemetryExporter(TelemetryOptions options)

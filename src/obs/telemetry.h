@@ -1,6 +1,8 @@
 // Live telemetry export: a background thread that periodically
 // serializes the metrics registry plus trace-collector watermarks to
-// Prometheus text format, and completed traces to JSONL.
+// Prometheus text format, and completed traces to JSONL.  Completed
+// traces also render as Chrome trace_event JSON (a view, no buffer of
+// its own).
 //
 // Lifecycle: construct with options, start(), do work, stop().  stop()
 // performs one final flush so short runs still export; the destructor
@@ -17,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -43,6 +46,36 @@ std::string to_prometheus(const RegistrySnapshot& snapshot,
 
 /// One completed trace as a single JSON line (no trailing newline).
 std::string trace_to_json(const CompletedTrace& trace);
+
+/// Builds a Chrome trace_event document
+/// {"displayTimeUnit":"ms","traceEvents":[...]} (load it in
+/// chrome://tracing or Perfetto).  Shared by every Chrome export so the
+/// framing and the event shape exist once.
+class ChromeTraceWriter {
+ public:
+  /// One complete ("X") event on lane `tid`; times in seconds, written
+  /// as microseconds.  `args` is the rendered body of the args object.
+  void complete(const std::string& name, const std::string& cat, int tid,
+                double start_seconds, double duration_seconds,
+                const std::string& args);
+  /// One pre-rendered event object (e.g. "M" thread-name metadata).
+  void event(const std::string& json);
+  [[nodiscard]] std::string str() const;
+
+ private:
+  std::string events_;
+};
+
+/// Chrome lane of spans recorded off the rank threads (rank -1).
+inline constexpr int kBackgroundLane = 2000;
+
+/// Completed traces as Chrome trace_event JSON: one X event per request
+/// root (named by its op) and one per phase span (name and cat are the
+/// phase name); args carry trace_id, bytes and detail (tenant on the
+/// root).  Timestamps rebase to the earliest start.  Spans recorded on
+/// a rank thread land on lane 1000+rank, the others on kBackgroundLane;
+/// a root takes its first ranked span's lane.
+std::string traces_to_chrome_json(const std::vector<CompletedTrace>& traces);
 
 class TelemetryExporter {
  public:

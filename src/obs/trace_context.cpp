@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 #include "obs/span.h"
 
@@ -51,6 +52,25 @@ ScopedTraceContext::ScopedTraceContext(const TraceContext& context)
 ScopedTraceContext::~ScopedTraceContext() {
   t_context = previous_;
   t_phase_stack = std::move(previous_stack_);
+}
+
+ScopedTrace::ScopedTrace(IoOp op, std::uint64_t bytes, std::string_view tenant)
+    : op_(op), bytes_(bytes), tenant_(tenant) {
+  auto& collector = TraceCollector::instance();
+  if (!collector.enabled()) return;
+  context_ = collector.start_trace();
+  if (!context_.recording()) return;
+  bind_.emplace(context_);
+  uncaught_ = std::uncaught_exceptions();
+  start_ = steady_seconds();
+}
+
+ScopedTrace::~ScopedTrace() {
+  if (!context_.recording()) return;
+  bind_.reset();
+  TraceCollector::instance().complete(
+      context_, op_, std::string(tenant_), bytes_,
+      std::uncaught_exceptions() > uncaught_, start_, steady_seconds());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 // Causal request tracing: follow ONE I/O request through every layer.
 //
-// The metrics registry answers "how much, in aggregate"; the Chrome
-// span buffer answers "what ran when, per thread".  Neither can answer
-// the paper's per-request question — where did *this* write spend its
-// time once it left the application?  obs::trace does: every request
-// submitted through the async VOL mints a TraceContext (trace id +
-// root span id) that travels with the operation across threads —
+// The metrics registry answers "how much, in aggregate"; it cannot
+// answer the paper's per-request question — where did *this* write
+// spend its time once it left the application?  obs::trace does, and it
+// is the only span stream (the Chrome timeline is a view over it, see
+// telemetry.h): every request submitted through the async VOL mints a
+// TraceContext (trace id + root span id) that travels with the
+// operation across threads —
 // issuing rank -> FIFO chain -> tasking pool -> retry attempts ->
 // scheduler admission -> backend decorator stack — and every layer
 // records phase-named child spans against it.  A completed request
@@ -42,7 +43,9 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -136,6 +139,31 @@ class ScopedTraceContext {
  private:
   TraceContext previous_;
   std::vector<std::uint64_t> previous_stack_;
+};
+
+/// RAII trace around a request that runs start to finish on the calling
+/// thread (a synchronous op, a prefetch-cache hit).  While the collector
+/// is enabled it mints a trace and, when sampled, binds it so the
+/// scope's ScopedPhase spans record against it; destruction completes
+/// it (failed when the scope unwinds by exception).  Disabled, it costs
+/// one relaxed load.  `tenant` is read at completion, so it must outlive
+/// the scope.
+class ScopedTrace {
+ public:
+  ScopedTrace(IoOp op, std::uint64_t bytes, std::string_view tenant);
+  ~ScopedTrace();
+
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
+
+ private:
+  TraceContext context_;
+  std::optional<ScopedTraceContext> bind_;
+  IoOp op_;
+  std::uint64_t bytes_;
+  std::string_view tenant_;
+  int uncaught_ = 0;
+  double start_ = 0.0;
 };
 
 /// Process-wide trace registry: active (in-flight) traces keyed by id,

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "obs/record.h"
 
@@ -69,6 +70,10 @@ struct SubmissionContext {
 
 /// The calling thread's current submission binding; null when unbound.
 const SubmissionContext* current_submission();
+
+/// Tenant the calling thread's work is charged to: the bound
+/// submission's tenant, or kDefaultTenant when unbound or anonymous.
+std::string_view submission_tenant();
 
 /// RAII binding of a SubmissionContext to the current thread.  Nests:
 /// the previous binding is restored on destruction (the adaptive

@@ -18,8 +18,7 @@ std::uint64_t MemoryBackend::size() const {
 
 void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), out.size());
+  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), out.size());
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
                                "memory");
   std::lock_guard lock(mutex_);
@@ -34,8 +33,7 @@ void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
 
 void MemoryBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), data.size());
+  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), data.size());
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
                                "memory");
   std::lock_guard lock(mutex_);
@@ -55,8 +53,7 @@ std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
     total += e.data.size();
     max_end = std::max(max_end, e.offset + e.data.size());
   }
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), total);
+  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");
   std::lock_guard lock(mutex_);
   if (max_end > data_.size()) data_.resize(max_end);
@@ -71,8 +68,7 @@ std::uint64_t MemoryBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   std::uint64_t total = 0;
   for (const auto& e : extents) total += e.out.size();
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), total);
+  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");
   std::lock_guard lock(mutex_);
   for (const auto& e : extents) {

@@ -85,8 +85,7 @@ std::uint64_t PosixBackend::size() const {
 
 void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), out.size());
+  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), out.size());
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
                                "posix");
   std::size_t done = 0;
@@ -107,8 +106,7 @@ void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
 
 void PosixBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), data.size());
+  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), data.size());
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
                                "posix");
   detail::write_fully(
@@ -123,8 +121,7 @@ std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
   std::uint64_t total = 0;
   for (const auto& e : extents) total += e.data.size();
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), total);
+  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
 
   // Group file-contiguous extents into one pwritev each (a gather from
@@ -177,8 +174,7 @@ std::uint64_t PosixBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   std::uint64_t total = 0;
   for (const auto& e : extents) total += e.out.size();
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), total);
+  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
 
   std::vector<struct iovec> iov;

@@ -1,7 +1,5 @@
 #include "tasking/execution_stream.h"
 
-#include <atomic>
-
 #include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "common/log.h"
@@ -10,12 +8,6 @@
 
 namespace apio::tasking {
 namespace {
-
-/// Process-wide stream numbering, used only to label trace lanes.
-int next_stream_id() {
-  static std::atomic<int> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 obs::Histogram& pop_wait_hist() {
   static auto& h = obs::Registry::instance().histogram("tasking.pop_wait_seconds");
@@ -45,7 +37,6 @@ void ExecutionStream::run() {
   // Tag the worker so task bodies can APIO_ASSERT_ON_STREAM(), and so
   // pmpi collectives abort if they are ever driven from a stream.
   debug::ScopedThreadRole role(debug::ThreadRole::kStream);
-  obs::set_thread_stream(next_stream_id());
   for (;;) {
     // Idle time between tasks is the queue's dead air — the paper's
     // overlap efficiency is visible as pop-wait vs. task-run ratio.
@@ -55,7 +46,6 @@ void ExecutionStream::run() {
     if (timed) pop_wait_hist().record_seconds(obs::steady_seconds() - wait_start);
     if (!task) return;  // pool closed and drained
     try {
-      obs::ScopedSpan span("task.run", obs::Category::kTasking);
       (*task)();
       if (timed) tasks_run_counter().increment();
     } catch (const std::exception& e) {

@@ -82,16 +82,6 @@ RequestInfo request_info(obs::IoOp kind, const h5::File& file,
   return info;
 }
 
-const char* execute_label(obs::IoOp kind) {
-  switch (kind) {
-    case obs::IoOp::kWrite: return "write.execute";
-    case obs::IoOp::kRead: return "read.execute";
-    case obs::IoOp::kPrefetch: return "prefetch.execute";
-    case obs::IoOp::kFlush: return "flush.execute";
-  }
-  return "execute";
-}
-
 /// Chunks grow geometrically from the first write's size up to this
 /// cap, so retained staging tracks the staged high-water mark.
 constexpr std::size_t kStagingChunkBytes = 64 * 1024;
@@ -262,8 +252,6 @@ void AsyncConnector::capture_observed(AsyncOp& op, double issue_time,
 }
 
 void AsyncConnector::enqueue_op(OpHandle op) {
-  obs::ScopedSpan span("enqueue", obs::Category::kVol);
-
   // Submission identity, resolved at issue time: connector-level tenant
   // wins, then the issuing thread's binding.  Flushes ride the priority
   // lane (they are the latency-sensitive barrier ops the fairness gate
@@ -349,8 +337,8 @@ void AsyncConnector::drain() {
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
-  obs::TimedOp execute_span(
-      execute_label(op.kind), obs::Category::kVol, execute_hist(),
+  obs::TimedOp timed(
+      execute_hist(),
       op.kind == obs::IoOp::kPrefetch ? nullptr : &executed_bytes_counter(),
       op.bytes);
   switch (op.kind) {
@@ -460,8 +448,7 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
     // transfer.
     obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy,
                                        data.size());
-    obs::TimedOp stage_op("stage_copy", obs::Category::kVol, stage_hist(),
-                          &staged_bytes_counter(), data.size());
+    obs::TimedOp timed(stage_hist(), &staged_bytes_counter(), data.size());
     stage(*op, data);
   }
   capture_observed(*op, t0, clock_->now() - t0);
@@ -492,11 +479,17 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   }
   if (hit) {
     if (obs::enabled()) prefetch_hits_counter().increment();
-    obs::ScopedSpan span("read.cache_hit", obs::Category::kVol, out.size());
-    entry.ready->wait();  // normally already complete
-    APIO_REQUIRE(entry.data->size() == out.size(),
-                 "prefetched buffer size does not match read selection");
-    std::memcpy(out.data(), entry.data->data(), out.size());
+    {
+      obs::trace::ScopedTrace trace(
+          IoOp::kRead, out.size(),
+          options_.tenant.empty() ? sched::submission_tenant()
+                                  : std::string_view(options_.tenant));
+      obs::trace::ScopedPhase served(obs::trace::Phase::kCacheHit, out.size());
+      entry.ready->wait();  // normally already complete
+      APIO_REQUIRE(entry.data->size() == out.size(),
+                   "prefetched buffer size does not match read selection");
+      std::memcpy(out.data(), entry.data->data(), out.size());
+    }
     const double dt = clock_->now() - t0;
     if (has_observers()) {
       IoRecord record;

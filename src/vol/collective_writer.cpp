@@ -75,12 +75,9 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
   for (const auto& e : extents) my_bytes += e.data.size();
   const auto seal_rank_trace = [&] {
     if (!rank_trace.recording()) return;
-    const sched::SubmissionContext* sub = sched::current_submission();
     collector.complete(rank_trace, obs::IoOp::kWrite,
-                       sub != nullptr && !sub->tenant.empty()
-                           ? sub->tenant
-                           : sched::kDefaultTenant,
-                       my_bytes, /*failed=*/false, rank_trace_start,
+                       std::string(sched::submission_tenant()), my_bytes,
+                       /*failed=*/false, rank_trace_start,
                        obs::steady_seconds());
   };
 

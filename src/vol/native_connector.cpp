@@ -3,6 +3,8 @@
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/trace_context.h"
+#include "sched/io_request.h"
 #include "vol/selection_token.h"
 
 namespace apio::vol {
@@ -42,8 +44,9 @@ RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
                                           std::span<const std::byte> data) {
   const double t0 = clock_->now();
   {
-    obs::TimedOp op("write.sync", obs::Category::kVol, sync_write_hist(),
-                    &sync_bytes_written(), data.size());
+    obs::trace::ScopedTrace trace(IoOp::kWrite, data.size(),
+                                  sched::submission_tenant());
+    obs::TimedOp op(sync_write_hist(), &sync_bytes_written(), data.size());
     ds.write_raw(selection, data);
   }
   const double dt = clock_->now() - t0;
@@ -71,8 +74,9 @@ RequestPtr NativeConnector::dataset_read(h5::Dataset ds,
                                          std::span<std::byte> out) {
   const double t0 = clock_->now();
   {
-    obs::TimedOp op("read.sync", obs::Category::kVol, sync_read_hist(),
-                    &sync_bytes_read(), out.size());
+    obs::trace::ScopedTrace trace(IoOp::kRead, out.size(),
+                                  sched::submission_tenant());
+    obs::TimedOp op(sync_read_hist(), &sync_bytes_read(), out.size());
     ds.read_raw(selection, out);
   }
   const double dt = clock_->now() - t0;

@@ -1,9 +1,11 @@
 // Tests for the observability layer: metrics registry sharding and
-// snapshots, span tracing with Chrome trace_event export, the
-// composable observer chain, and end-to-end coherence of counters
-// against connector statistics under multi-threaded load.
+// snapshots, the Chrome trace_event view of completed request traces,
+// escaping of user strings in every JSON export, the composable
+// observer chain, and end-to-end coherence of counters against
+// connector statistics under multi-threaded load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
@@ -19,8 +21,11 @@
 #include "model/advisor.h"
 #include "obs/metrics.h"
 #include "obs/metrics_observer.h"
+#include "obs/critical_path.h"
 #include "obs/record.h"
 #include "obs/span.h"
+#include "obs/telemetry.h"
+#include "obs/trace_context.h"
 #include "pmpi/world.h"
 #include "storage/memory_backend.h"
 #include "vol/async_connector.h"
@@ -168,6 +173,8 @@ class JsonParser {
           }
           default: fail("bad escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control character in string");
       } else {
         v.string += c;
       }
@@ -215,21 +222,24 @@ class JsonParser {
   }
 };
 
-/// RAII: metrics + tracing on with clean registry/tracer, everything
-/// off and wiped again on scope exit so tests stay independent.
+/// RAII: metrics + the trace collector (sampling every request) on with
+/// a clean registry and ring, everything off and wiped again on scope
+/// exit so tests stay independent.
 class ScopedObservability {
  public:
   ScopedObservability() {
     Registry::instance().reset();
-    Tracer::instance().clear();
+    auto& collector = trace::TraceCollector::instance();
+    collector.clear();
+    collector.set_sampling_period(1);
     set_enabled(true);
-    set_tracing_enabled(true);
+    collector.set_enabled(true);
   }
   ~ScopedObservability() {
+    trace::TraceCollector::instance().set_enabled(false);
     set_enabled(false);
-    set_tracing_enabled(false);
     Registry::instance().reset();
-    Tracer::instance().clear();
+    trace::TraceCollector::instance().clear();
   }
 };
 
@@ -544,35 +554,50 @@ TEST(MetricsObserverTest, RoutesOpsToRegistryCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Span tracing
+// JSON exports of completed traces
 
-TEST(TracerTest, DisabledSpansCostNothingAndRecordNothing) {
-  Tracer::instance().clear();
-  ASSERT_FALSE(tracing_enabled());
-  {
-    ScopedSpan span("invisible", Category::kApp, 123);
-  }
-  EXPECT_EQ(Tracer::instance().size(), 0u);
+trace::TraceSpan phase_span(std::uint64_t id, trace::Phase phase, double start,
+                            double duration, int rank, std::string detail) {
+  trace::TraceSpan span;
+  span.span_id = id;
+  span.phase = phase;
+  span.start_seconds = start;
+  span.duration_seconds = duration;
+  span.bytes = 4096;
+  span.rank = rank;
+  span.detail = std::move(detail);
+  return span;
 }
 
-TEST(TracerTest, ChromeExportIsValidTraceEventJson) {
-  ScopedObservability scoped;
-  {
-    ScopedSpan outer("outer", Category::kVol, 4096);
-    ScopedSpan inner("in\"ner\\path", Category::kTasking);
-  }
-  set_thread_rank(3);
-  { ScopedSpan ranked("ranked", Category::kPmpi); }
-  set_thread_rank(-1);
+trace::CompletedTrace hand_built_trace(std::string tenant,
+                                       std::string detail) {
+  trace::CompletedTrace t;
+  t.trace_id = 7;
+  t.root_span_id = 1;
+  t.tenant = std::move(tenant);
+  t.bytes = 4096;
+  t.start_seconds = 10.0;
+  t.duration_seconds = 0.004;
+  t.spans.push_back(
+      phase_span(2, trace::Phase::kStageCopy, 10.0, 0.001, 3, ""));
+  t.spans.push_back(phase_span(3, trace::Phase::kBackend, 10.002, 0.001, -1,
+                               std::move(detail)));
+  return t;
+}
 
-  const std::string json = Tracer::instance().to_chrome_json();
+TEST(ChromeViewTest, RendersTracesAsValidTraceEventJson) {
+  const std::vector<trace::CompletedTrace> traces = {
+      hand_built_trace("vpic", "in\"ner\\path")};
+  const std::string json = trace::traces_to_chrome_json(traces);
   JsonValue root = JsonParser(json).parse();
   ASSERT_EQ(root.type, JsonValue::Type::kObject);
+  EXPECT_EQ(root.at("displayTimeUnit").string, "ms");
   ASSERT_TRUE(root.has("traceEvents"));
   const auto& events = root.at("traceEvents").array;
-  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events.size(), 3u);  // the root + two phase spans
   bool saw_escaped = false;
   bool saw_rank_lane = false;
+  double earliest = 1e9;
   for (const auto& event : events) {
     ASSERT_EQ(event.type, JsonValue::Type::kObject);
     for (const char* key : {"name", "cat", "ph", "ts", "dur", "pid", "tid"}) {
@@ -580,16 +605,49 @@ TEST(TracerTest, ChromeExportIsValidTraceEventJson) {
     }
     EXPECT_EQ(event.at("ph").string, "X");
     EXPECT_GE(event.at("dur").number, 0.0);
-    if (event.at("name").string == "in\"ner\\path") saw_escaped = true;
-    // pmpi ranks land in the 1000+rank lane.
-    if (event.at("cat").string == "pmpi") {
+    EXPECT_EQ(event.at("args").at("trace_id").number, 7.0);
+    EXPECT_EQ(event.at("args").at("bytes").number, 4096.0);
+    earliest = std::min(earliest, event.at("ts").number);
+    const std::string& name = event.at("name").string;
+    if (name == "backend") {
+      EXPECT_EQ(event.at("cat").string, "backend");
+      EXPECT_EQ(event.at("args").at("detail").string, "in\"ner\\path");
+      EXPECT_EQ(event.at("tid").number, trace::kBackgroundLane);
+      saw_escaped = true;
+    }
+    if (name == "stage_copy") {
+      // Rank threads land in the 1000+rank lane.
       EXPECT_EQ(event.at("tid").number, 1003.0);
       saw_rank_lane = true;
+    }
+    if (name == "write") {
+      EXPECT_EQ(event.at("args").at("tenant").string, "vpic");
+      EXPECT_EQ(event.at("tid").number, 1003.0);  // its first ranked span
     }
   }
   EXPECT_TRUE(saw_escaped);
   EXPECT_TRUE(saw_rank_lane);
-  EXPECT_NE(Tracer::instance().summary().find("outer"), std::string::npos);
+  EXPECT_EQ(earliest, 0.0);  // rebased to the earliest start
+}
+
+TEST(JsonEscapeTest, HostileTenantKeepsEveryTraceExportValid) {
+  const std::string tenant = "a\"b\nc";
+  const std::vector<trace::CompletedTrace> traces = {
+      hand_built_trace(tenant, "x\ty\x01")};
+
+  // JSONL: one trace is one line, and the tenant round-trips.
+  const std::string line = trace::trace_to_json(traces[0]);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  EXPECT_EQ(JsonParser(line).parse().at("tenant").string, tenant);
+
+  const JsonValue report =
+      JsonParser(trace::CriticalPathAnalyzer(traces).to_json()).parse();
+  EXPECT_TRUE(report.at("tenants").has(tenant));
+
+  const JsonValue chrome =
+      JsonParser(trace::traces_to_chrome_json(traces)).parse();
+  EXPECT_EQ(chrome.at("traceEvents").array.at(0).at("args").at("tenant").string,
+            tenant);
 }
 
 // ---------------------------------------------------------------------------
@@ -621,18 +679,29 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   const auto stats = connector->stats();
   connector->close();
 
-  // Spans from vol, tasking, pmpi and storage must all be present.
-  bool saw[4] = {false, false, false, false};
-  for (const auto& span : Tracer::instance().spans()) {
-    if (span.category == Category::kVol) saw[0] = true;
-    if (span.category == Category::kTasking) saw[1] = true;
-    if (span.category == Category::kPmpi) saw[2] = true;
-    if (span.category == Category::kStorage) saw[3] = true;
+  // Phases from vol, tasking, storage and both pmpi ranks must all be
+  // present in the completed traces.
+  const auto traces = trace::TraceCollector::instance().drain();
+  ASSERT_GE(traces.size(), 2u);  // the two writes (+ close's flush)
+  std::map<trace::Phase, int> phases;
+  bool saw_memory_backend = false;
+  bool saw_rank[2] = {false, false};
+  for (const auto& t : traces) {
+    for (const auto& span : t.spans) {
+      ++phases[span.phase];
+      if (span.phase == trace::Phase::kBackend && span.detail == "memory") {
+        saw_memory_backend = true;
+      }
+      if (span.rank == 0 || span.rank == 1) saw_rank[span.rank] = true;
+    }
   }
-  EXPECT_TRUE(saw[0]) << "no vol span";
-  EXPECT_TRUE(saw[1]) << "no tasking span";
-  EXPECT_TRUE(saw[2]) << "no pmpi span";
-  EXPECT_TRUE(saw[3]) << "no storage span";
+  EXPECT_GT(phases[trace::Phase::kSubmit], 0) << "no vol submit span";
+  EXPECT_GT(phases[trace::Phase::kStageCopy], 0) << "no vol stage span";
+  EXPECT_GT(phases[trace::Phase::kFifoWait], 0) << "no tasking fifo span";
+  EXPECT_GT(phases[trace::Phase::kPoolWait], 0) << "no tasking pool span";
+  EXPECT_TRUE(saw_memory_backend) << "no storage span";
+  EXPECT_TRUE(saw_rank[0]) << "no rank-0 span";
+  EXPECT_TRUE(saw_rank[1]) << "no rank-1 span";
 
   // Registry counters agree with the connector's own accounting and the
   // observer bridge.
@@ -647,8 +716,8 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   EXPECT_EQ(staged.per_shard[0], kBytesPerRank);
   EXPECT_EQ(staged.per_shard[1], kBytesPerRank);
 
-  // The Chrome export of a real run parses.
-  EXPECT_NO_THROW(JsonParser(Tracer::instance().to_chrome_json()).parse());
+  // The Chrome view of a real run parses.
+  EXPECT_NO_THROW(JsonParser(trace::traces_to_chrome_json(traces)).parse());
 }
 
 // The satellite stress requirement: one connector hammered from 8

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "obs/trace_context.h"
 #include "storage/memory_backend.h"
 #include "vol/native_connector.h"
 
@@ -88,6 +89,32 @@ TEST(NativeConnectorTest, ObserverSeesSyncRecords) {
   EXPECT_FALSE(records[0].async);
   EXPECT_DOUBLE_EQ(records[0].blocking_seconds, records[0].completion_seconds);
   EXPECT_EQ(records[1].op, IoOp::kRead);
+}
+
+TEST(NativeConnectorTest, SyncWriteYieldsOneTraceWithBackendSpan) {
+  auto conn = make_connector();
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kInt32, {4});
+  auto& collector = obs::trace::TraceCollector::instance();
+  collector.clear();
+  collector.set_sampling_period(1);
+  collector.set_enabled(true);
+  const std::vector<std::int32_t> values{1, 2, 3, 4};
+  conn->dataset_write(ds, h5::Selection::all(),
+                      std::as_bytes(std::span<const std::int32_t>(values)));
+  collector.set_enabled(false);
+  const auto traces = collector.drain();
+  collector.clear();
+
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].op, IoOp::kWrite);
+  EXPECT_EQ(traces[0].bytes, sizeof(values[0]) * values.size());
+  EXPECT_EQ(traces[0].tenant, "default");
+  EXPECT_FALSE(traces[0].failed);
+  int backend_spans = 0;
+  for (const auto& span : traces[0].spans) {
+    if (span.phase == obs::trace::Phase::kBackend) ++backend_spans;
+  }
+  EXPECT_GE(backend_spans, 1);
 }
 
 TEST(NativeConnectorTest, FlushAndCloseWork) {

@@ -9,8 +9,9 @@
 //                [--chrome FILE]
 //       Re-executes the trace against a synthesized twin container on a
 //       throttled in-memory "PFS", with the full observability layer
-//       enabled: prints the metrics-registry summary and span summary,
-//       and optionally writes a Chrome trace_event JSON (load it in
+//       enabled: prints the metrics-registry summary and the per-phase
+//       critical-path table of the traced requests, and optionally
+//       writes them as Chrome trace_event JSON (load it in
 //       chrome://tracing or Perfetto).  Dataset geometry is synthesized
 //       byte-addressed; op order, sizes and inter-op gaps are preserved.
 //
@@ -71,7 +72,6 @@
 #include "obs/epoch_analyzer.h"
 #include "obs/metrics.h"
 #include "obs/metrics_observer.h"
-#include "obs/span.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
 #include "sched/fair_scheduler.h"
@@ -136,21 +136,30 @@ storage::BackendPtr make_pfs(double mibps,
   return stack.build();
 }
 
-/// Turns the registry + tracer on and resets both, so one invocation's
-/// numbers never leak into the next.
-void enable_observability() {
+/// Turns the registry and the trace collector (1-in-`sample_period`)
+/// on and resets both, so one invocation's numbers never leak into the
+/// next.
+void enable_observability(std::uint64_t sample_period = 1) {
   obs::Registry::instance().reset();
-  obs::Tracer::instance().clear();
   obs::set_enabled(true);
-  obs::set_tracing_enabled(true);
+  auto& collector = obs::trace::TraceCollector::instance();
+  collector.clear();
+  collector.set_sampling_period(sample_period);
+  collector.set_enabled(true);
 }
 
-void write_chrome_trace(const std::string& path) {
+void disable_observability() {
+  obs::trace::TraceCollector::instance().set_enabled(false);
+  obs::set_enabled(false);
+}
+
+void write_chrome_trace(const std::string& path,
+                        const std::vector<obs::trace::CompletedTrace>& traces) {
   std::ofstream out(path);
   if (!out) throw IoError("cannot write '" + path + "'");
-  out << obs::Tracer::instance().to_chrome_json();
-  std::printf("Chrome trace (%zu spans) -> %s\n",
-              obs::Tracer::instance().size(), path.c_str());
+  out << obs::trace::traces_to_chrome_json(traces);
+  std::printf("Chrome trace (%zu traces) -> %s\n", traces.size(),
+              path.c_str());
 }
 
 /// Resilience summary: how much of the run was spent surviving faults.
@@ -235,7 +244,10 @@ void print_cache_report(const obs::RegistrySnapshot& snap) {
   }
 }
 
-void print_observability_report() {
+/// Prints the registry report and the per-phase critical-path table of
+/// the run's completed traces, then writes the Chrome view of them when
+/// `chrome_path` is set.
+void print_observability_report(const std::string& chrome_path) {
   const auto snap = obs::Registry::instance().snapshot();
   std::fputs(snap.summary().c_str(), stdout);
   print_resilience_report(snap);
@@ -243,7 +255,19 @@ void print_observability_report() {
   // Multi-tenant QoS summary (per-tenant bytes/share, wait percentile
   // spread, deadline misses); empty for non-QoS profiles.
   std::fputs(sched::render_sched_report(snap).c_str(), stdout);
-  std::fputs(obs::Tracer::instance().summary().c_str(), stdout);
+
+  auto& collector = obs::trace::TraceCollector::instance();
+  const std::uint64_t evicted = collector.watermark().evicted;
+  const auto traces = collector.drain();
+  std::fputs(obs::trace::CriticalPathAnalyzer(traces).report(3.0, 0).c_str(),
+             stdout);
+  if (evicted > 0) {
+    // The completed-trace ring is bounded: the oldest traces are gone.
+    std::printf("  %llu older trace(s) evicted from the ring; the table "
+                "covers the newest %zu\n",
+                static_cast<unsigned long long>(evicted), traces.size());
+  }
+  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
 }
 
 int cmd_report(const char* csv_path) {
@@ -304,16 +328,14 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
   options.time_scale = 1.0;
   const auto result = replay_trace(replayable, *connector, options);
   connector->close();
-  obs::set_enabled(false);
-  obs::set_tracing_enabled(false);
+  disable_observability();
 
   std::printf("replayed %zu ops (%s written, %s read) in %s; blocking %s\n",
               result.operations, format_bytes(result.bytes_written).c_str(),
               format_bytes(result.bytes_read).c_str(),
               format_seconds(result.total_seconds).c_str(),
               format_seconds(result.blocking_seconds).c_str());
-  print_observability_report();
-  if (!chrome_path.empty()) write_chrome_trace(chrome_path);
+  print_observability_report(chrome_path);
   return 0;
 }
 
@@ -363,8 +385,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   const auto snapshot_stats =
       async != nullptr ? async->stats() : vol::AsyncStats{};
   connector->close();
-  obs::set_enabled(false);
-  obs::set_tracing_enabled(false);
+  disable_observability();
 
   std::printf("vpic: %d ranks x %llu particles x 8 props x %d steps (%s mode)\n",
               ranks, static_cast<unsigned long long>(particles), steps,
@@ -380,8 +401,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                                  result.step_io_seconds[step])
                     .c_str());
   }
-  print_observability_report();
-  if (!chrome_path.empty()) write_chrome_trace(chrome_path);
+  print_observability_report(chrome_path);
 
   if (async != nullptr) {
     // Cross-check: the registry's staging byte counter and the observer
@@ -420,11 +440,7 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   params.compute_seconds = 0.02;
   workloads::VpicIoKernel kernel(params);
 
-  enable_observability();
-  auto& collector = obs::trace::TraceCollector::instance();
-  collector.clear();
-  collector.set_sampling_period(static_cast<std::uint64_t>(sample_rate));
-  collector.set_enabled(true);
+  enable_observability(static_cast<std::uint64_t>(sample_rate));
 
   auto scheduler = std::make_shared<sched::FairScheduler>();
   scheduler->register_tenant("vpic", 1.0);
@@ -447,11 +463,9 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   connector->wait_all();
   connector->close();
   exporter.stop();
-  collector.set_enabled(false);
-  obs::set_enabled(false);
-  obs::set_tracing_enabled(false);
+  disable_observability();
 
-  const auto traces = collector.drain();
+  const auto traces = obs::trace::TraceCollector::instance().drain();
   obs::trace::CriticalPathAnalyzer analyzer(traces);
   std::printf("vpic trace: %d ranks x %llu particles x 8 props x %d steps, "
               "sampling 1-in-%d\n",
