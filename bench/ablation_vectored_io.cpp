@@ -51,17 +51,19 @@ int main() {
       throttle.bandwidth = 256.0 * kMiB;
       throttle.latency = 1e-3;
       throttle.time_scale = 0.0;  // model time only: deterministic
-      auto throttled = std::make_shared<storage::ThrottledBackend>(
-          std::make_shared<storage::MemoryBackend>(), throttle);
+      auto leaf = std::make_shared<storage::MemoryBackend>();
+      auto throttled =
+          std::make_shared<storage::ThrottledBackend>(leaf, throttle);
       h5::FileProps props;
       props.vectored_io = vectored == 1;
       auto file = h5::File::create(throttled, props);
       auto ds = file->root().create_dataset(
           "d", h5::Datatype::kInt32, dims, h5::DatasetCreateProps::chunked({8, 8}));
-      const auto before = throttled->stats();
+      // Backend ops are counted where they land: at the memory leaf.
+      const auto before = leaf->stats();
       const double t0 = throttled->modelled_delay_seconds();
       ds.write(selection, std::span<const std::int32_t>(payload));
-      ops[vectored] = throttled->stats().write_ops - before.write_ops;
+      ops[vectored] = leaf->stats().write_ops - before.write_ops;
       seconds[vectored] = throttled->modelled_delay_seconds() - t0;
       std::printf("  %10s | %12llu | %10.4f s\n",
                   vectored ? "vectored" : "scalar",

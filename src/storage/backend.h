@@ -12,7 +12,11 @@
 
 namespace apio::storage {
 
-/// Byte-level transfer counters, readable while the backend is in use.
+/// Physical transfers a backend made, readable while it is in use.
+/// Only leaves (MemoryBackend, PosixBackend) move bytes, so only leaves
+/// count: a decorator forwards to its inner backend and reports zero,
+/// and each transfer is counted once, at the layer that performs it
+/// (apio_lint rule `leaf-count`).
 struct BackendStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
@@ -32,6 +36,18 @@ struct ReadExtent {
   std::uint64_t offset = 0;
   std::span<std::byte> out;
 };
+
+/// Bytes covered by a gather/scatter extent list.
+inline std::uint64_t total_bytes(std::span<const WriteExtent> extents) {
+  std::uint64_t total = 0;
+  for (const auto& e : extents) total += e.data.size();
+  return total;
+}
+inline std::uint64_t total_bytes(std::span<const ReadExtent> extents) {
+  std::uint64_t total = 0;
+  for (const auto& e : extents) total += e.out.size();
+  return total;
+}
 
 /// Abstract flat address space with positional read/write.
 ///
@@ -65,12 +81,8 @@ class Backend {
   /// against the bytes they submitted.
   [[nodiscard]] virtual std::uint64_t write_v(
       std::span<const WriteExtent> extents) {
-    std::uint64_t total = 0;
-    for (const auto& e : extents) {
-      write(e.offset, e.data);
-      total += e.data.size();
-    }
-    return total;
+    for (const auto& e : extents) write(e.offset, e.data);
+    return total_bytes(extents);
   }
 
   /// Vectored read, same extent contract as write_v.  Every extent must
@@ -78,12 +90,8 @@ class Backend {
   /// bytes transferred into the extents' buffers.
   [[nodiscard]] virtual std::uint64_t read_v(
       std::span<const ReadExtent> extents) {
-    std::uint64_t total = 0;
-    for (const auto& e : extents) {
-      read(e.offset, e.out);
-      total += e.out.size();
-    }
-    return total;
+    for (const auto& e : extents) read(e.offset, e.out);
+    return total_bytes(extents);
   }
 
   /// Persists buffered data (no-op for memory backends).
@@ -102,6 +110,8 @@ class Backend {
   /// Human-readable backend identity for diagnostics.
   virtual std::string name() const = 0;
 
+  /// Physical transfers this backend made (see BackendStats): nonzero
+  /// only on leaves.
   BackendStats stats() const {
     BackendStats s;
     s.bytes_read = bytes_read_.load(std::memory_order_relaxed);
@@ -113,14 +123,10 @@ class Backend {
   }
 
  protected:
-  void count_read(std::uint64_t bytes) {
-    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-    read_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_write(std::uint64_t bytes) {
-    bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-    write_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// The count hooks, for leaves only: LeafOp (storage/leaf_op.h)
+  /// instruments one data op and counts it on success; count_flush()
+  /// counts one successful flush.
+  class LeafOp;
   void count_flush() { flushes_.fetch_add(1, std::memory_order_relaxed); }
 
  private:

@@ -1,6 +1,7 @@
 #include "storage/cached_backend.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 
 #include "common/debug/invariant.h"
@@ -14,48 +15,6 @@ namespace apio::storage {
 
 namespace {
 
-// io.cache.* registry entries (apio_profile report renders these).
-obs::Counter& cache_hits_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.hits");
-  return c;
-}
-obs::Counter& cache_misses_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.misses");
-  return c;
-}
-obs::Counter& cache_hit_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.hit_bytes");
-  return c;
-}
-obs::Counter& cache_miss_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.miss_bytes");
-  return c;
-}
-obs::Counter& cache_flushes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.flushes");
-  return c;
-}
-obs::Counter& cache_flushed_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.flushed_bytes");
-  return c;
-}
-obs::Counter& cache_flush_failures_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.flush_failures");
-  return c;
-}
-obs::Counter& cache_evictions_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.evictions");
-  return c;
-}
-obs::Counter& cache_writeback_bytes_counter() {
-  static auto& c =
-      obs::Registry::instance().counter("io.cache.writeback_bytes");
-  return c;
-}
-obs::Counter& cache_lost_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.lost_bytes");
-  return c;
-}
 obs::Gauge& cache_dirty_gauge() {
   static auto& g = obs::Registry::instance().gauge("io.cache.dirty_bytes");
   return g;
@@ -185,9 +144,7 @@ CachedBackend::~CachedBackend() {
     drain();
   } catch (...) {
     std::lock_guard lock(mutex_);
-    const std::uint64_t lost = interval_total(dirty_);
-    lost_bytes_.fetch_add(lost, std::memory_order_relaxed);
-    cache_lost_bytes_counter().add(lost);
+    note(Event::kLostBytes, interval_total(dirty_));
   }
 }
 
@@ -232,12 +189,9 @@ void CachedBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   // overlapping concurrent write could change them (a data race by the
   // Backend contract, as in MPI-IO).
   staging_->read(offset, out);
-  count_read(out.size());
   if (hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_bytes_.fetch_add(out.size(), std::memory_order_relaxed);
-    cache_hits_counter().increment();
-    cache_hit_bytes_counter().add(out.size());
+    note(Event::kHits, 1);
+    note(Event::kHitBytes, out.size());
     if (const auto* ctx = obs::trace::current_trace()) {
       obs::trace::record_phase(*ctx, obs::trace::Phase::kCacheHit, t0,
                                obs::steady_seconds() - t0, out.size(),
@@ -263,7 +217,6 @@ void CachedBackend::write(std::uint64_t offset,
     logical_size_ = std::max(logical_size_, end);
     recount_locked();
   }
-  count_write(data.size());
   if (options_.consistency == CacheConsistency::kAfterWrite) {
     // Write-through: forward immediately; the staged copy only serves
     // re-reads.  A failed forward keeps the range dirty so a later
@@ -281,7 +234,6 @@ void CachedBackend::flush() {
   // visible; it does NOT drain (that is what the mode's trigger —
   // close, epoch end, drain() — is for).  kAfterWrite has nothing
   // staged-only, so forwarding is a full flush there.
-  count_flush();
   inner_->flush();
 }
 
@@ -367,10 +319,8 @@ void CachedBackend::fill_from_inner(std::uint64_t begin, std::uint64_t end) {
     }
     staging_->write(gb, buf);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_bytes_.fetch_add(fetched, std::memory_order_relaxed);
-  cache_misses_counter().increment();
-  cache_miss_bytes_counter().add(fetched);
+  note(Event::kMisses, 1);
+  note(Event::kMissBytes, fetched);
   std::lock_guard lock(mutex_);
   for (const auto& [gb, ge] : gaps) {
     interval_add(valid_, gb, ge);
@@ -412,8 +362,7 @@ void CachedBackend::write_back(const IntervalMap& extents) {
     }
   } catch (...) {
     // Dirty set untouched: the same extents retry on the next drain.
-    flush_failures_.fetch_add(1, std::memory_order_relaxed);
-    cache_flush_failures_counter().increment();
+    note(Event::kFlushFailures, 1);
     throw;
   }
   {
@@ -421,10 +370,8 @@ void CachedBackend::write_back(const IntervalMap& extents) {
     for (const auto& [b, e] : extents) interval_sub(dirty_, b, e);
     recount_locked();
   }
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  flushed_bytes_.fetch_add(total, std::memory_order_relaxed);
-  cache_flushes_counter().increment();
-  cache_flushed_bytes_counter().add(total);
+  note(Event::kFlushes, 1);
+  note(Event::kFlushedBytes, total);
 }
 
 void CachedBackend::enforce_capacity() {
@@ -445,8 +392,7 @@ void CachedBackend::enforce_capacity() {
         lru_.pop_back();
         lru_pos_.erase(block);
         recount_locked();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        cache_evictions_counter().increment();
+        note(Event::kEvictions, 1);
         continue;
       }
     }
@@ -464,9 +410,7 @@ void CachedBackend::enforce_capacity() {
       std::lock_guard drain_lock(drain_mutex_);
       write_back(victim_dirty);  // apio-lint: allow(lock-rank)
     }
-    const std::uint64_t wb = interval_total(victim_dirty);
-    writeback_bytes_.fetch_add(wb, std::memory_order_relaxed);
-    cache_writeback_bytes_counter().add(wb);
+    note(Event::kWritebackBytes, interval_total(victim_dirty));
   }
 }
 
@@ -500,18 +444,43 @@ void CachedBackend::on_epoch_event(const obs::EpochEvent& event) {
   }
 }
 
+void CachedBackend::note(Event event, std::uint64_t value) {
+  // io.cache.* registry names (apio_profile report renders these),
+  // indexed by Event; each counter registers on its event's first note.
+  constexpr auto kCount = static_cast<std::size_t>(Event::kCount);
+  static constexpr std::array<const char*, kCount> kNames = {
+      "io.cache.hits",           "io.cache.misses",
+      "io.cache.hit_bytes",      "io.cache.miss_bytes",
+      "io.cache.flushes",        "io.cache.flushed_bytes",
+      "io.cache.flush_failures", "io.cache.evictions",
+      "io.cache.writeback_bytes", "io.cache.lost_bytes"};
+  static std::array<std::atomic<obs::Counter*>, kCount> counters{};
+  const auto i = static_cast<std::size_t>(event);
+  events_[i].fetch_add(value, std::memory_order_relaxed);
+  obs::Counter* counter = counters[i].load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = &obs::Registry::instance().counter(kNames[i]);
+    counters[i].store(counter, std::memory_order_release);
+  }
+  counter->add(value);
+}
+
 CacheSnapshot CachedBackend::cache_snapshot() const {
+  const auto load = [this](Event event) {
+    return events_[static_cast<std::size_t>(event)].load(
+        std::memory_order_relaxed);
+  };
   CacheSnapshot s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.hit_bytes = hit_bytes_.load(std::memory_order_relaxed);
-  s.miss_bytes = miss_bytes_.load(std::memory_order_relaxed);
-  s.flushes = flushes_.load(std::memory_order_relaxed);
-  s.flushed_bytes = flushed_bytes_.load(std::memory_order_relaxed);
-  s.flush_failures = flush_failures_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.writeback_bytes = writeback_bytes_.load(std::memory_order_relaxed);
-  s.lost_bytes = lost_bytes_.load(std::memory_order_relaxed);
+  s.hits = load(Event::kHits);
+  s.misses = load(Event::kMisses);
+  s.hit_bytes = load(Event::kHitBytes);
+  s.miss_bytes = load(Event::kMissBytes);
+  s.flushes = load(Event::kFlushes);
+  s.flushed_bytes = load(Event::kFlushedBytes);
+  s.flush_failures = load(Event::kFlushFailures);
+  s.evictions = load(Event::kEvictions);
+  s.writeback_bytes = load(Event::kWritebackBytes);
+  s.lost_bytes = load(Event::kLostBytes);
   std::lock_guard lock(mutex_);
   s.dirty_bytes = interval_total(dirty_);
   s.cached_bytes = cached_bytes_;

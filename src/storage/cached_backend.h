@@ -46,6 +46,7 @@
 // nesting (rule `cached-backend`).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -135,6 +136,18 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   const CacheOptions& options() const { return options_; }
 
  private:
+  /// The counted cache events (CacheSnapshot's counter fields, and the
+  /// io.cache.* registry counters of the same names).
+  enum class Event : std::size_t {
+    kHits, kMisses, kHitBytes, kMissBytes, kFlushes, kFlushedBytes,
+    kFlushFailures, kEvictions, kWritebackBytes, kLostBytes, kCount
+  };
+
+  /// The one call site of each event: adds `value` to this instance's
+  /// total and to the event's io.cache.* counter (recorded whether or
+  /// not obs::enabled()).
+  void note(Event event, std::uint64_t value);
+
   /// Half-open byte intervals, keyed by begin, coalesced on insert.
   using IntervalMap = std::map<std::uint64_t, std::uint64_t>;
 
@@ -190,16 +203,10 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   std::uint64_t cached_bytes_ = 0;
   std::uint64_t logical_size_ = 0;
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> hit_bytes_{0};
-  std::atomic<std::uint64_t> miss_bytes_{0};
-  std::atomic<std::uint64_t> flushes_{0};
-  std::atomic<std::uint64_t> flushed_bytes_{0};
-  std::atomic<std::uint64_t> flush_failures_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> writeback_bytes_{0};
-  std::atomic<std::uint64_t> lost_bytes_{0};
+  /// Per-instance event totals, indexed by Event (cache_snapshot()).
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(Event::kCount)>
+      events_{};
 };
 
 }  // namespace apio::storage

@@ -20,11 +20,8 @@ FaultyBackend::FaultyBackend(BackendPtr inner, FaultPlan plan)
       plan_(plan),
       writes_left_(plan.fail_writes_after),
       reads_left_(plan.fail_reads_after),
-      flushes_left_(plan.fail_flush ? 0 : plan.fail_flushes_after) {
+      flushes_left_(plan.fail_flushes_after) {
   APIO_REQUIRE(inner_ != nullptr, "FaultyBackend requires an inner backend");
-  if (plan_.fail_flush && plan_.fail_flushes_after < 0) {
-    plan_.fail_flushes_after = 0;
-  }
 }
 
 void FaultyBackend::maybe_fault(OpKind kind, std::uint64_t offset,
@@ -102,19 +99,16 @@ void FaultyBackend::read(std::uint64_t offset, std::span<std::byte> out) {
                  "read range overflows offset space");
   maybe_fault(OpKind::kRead, offset, out.size());
   inner_->read(offset, out);
-  count_read(out.size());
 }
 
 void FaultyBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   maybe_fault(OpKind::kWrite, offset, data.size());
   inner_->write(offset, data);
-  count_write(data.size());
 }
 
 void FaultyBackend::flush() {
   maybe_fault(OpKind::kFlush, 0, 0);
   inner_->flush();
-  count_flush();
 }
 
 void FaultyBackend::reset_counters() {
@@ -137,9 +131,6 @@ void FaultyBackend::arm() { healed_.store(false, std::memory_order_release); }
 
 void FaultyBackend::set_plan(FaultPlan plan) {
   plan_ = plan;
-  if (plan_.fail_flush && plan_.fail_flushes_after < 0) {
-    plan_.fail_flushes_after = 0;
-  }
   reset_counters();
 }
 

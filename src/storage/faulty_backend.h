@@ -34,8 +34,6 @@ struct FaultPlan {
   std::int64_t fail_writes_after = -1;
   std::int64_t fail_reads_after = -1;
   std::int64_t fail_flushes_after = -1;
-  /// Legacy alias for fail_flushes_after = 0 (kept for existing plans).
-  bool fail_flush = false;
   /// Recurring patterns: every n-th call of the kind fails (1-indexed
   /// call counter; 0 = pattern off).  n = 1 fails every call.
   std::uint64_t fail_every_n_writes = 0;

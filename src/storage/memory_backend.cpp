@@ -4,10 +4,7 @@
 
 #include "common/debug/invariant.h"
 #include "common/error.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
-#include "obs/trace_context.h"
-#include "storage/obs_metrics.h"
+#include "storage/leaf_op.h"
 
 namespace apio::storage {
 
@@ -18,9 +15,7 @@ std::uint64_t MemoryBackend::size() const {
 
 void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), out.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
-                               "memory");
+  LeafOp op(*this, LeafOp::Kind::kRead, out.size(), "memory");
   std::lock_guard lock(mutex_);
   if (offset + out.size() > data_.size()) {
     throw IoError("memory backend: read past end of object (offset " +
@@ -28,48 +23,39 @@ void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
                   " > " + std::to_string(data_.size()) + ")");
   }
   std::memcpy(out.data(), data_.data() + offset, out.size());
-  count_read(out.size());
 }
 
 void MemoryBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), data.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
-                               "memory");
+  LeafOp op(*this, LeafOp::Kind::kWrite, data.size(), "memory");
   std::lock_guard lock(mutex_);
   const std::uint64_t end = offset + data.size();
   if (end > data_.size()) data_.resize(end);
   std::memcpy(data_.data() + offset, data.data(), data.size());
-  count_write(data.size());
 }
 
 std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
   std::uint64_t max_end = 0;
   for (const auto& e : extents) {
     APIO_INVARIANT(e.offset + e.data.size() >= e.offset,
                    "write range overflows offset space");
-    total += e.data.size();
     max_end = std::max(max_end, e.offset + e.data.size());
   }
-  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");
+  const std::uint64_t total = total_bytes(extents);
+  LeafOp op(*this, LeafOp::Kind::kWrite, total, "memory");
   std::lock_guard lock(mutex_);
   if (max_end > data_.size()) data_.resize(max_end);
   for (const auto& e : extents) {
     std::memcpy(data_.data() + e.offset, e.data.data(), e.data.size());
   }
-  count_write(total);
   return total;
 }
 
 std::uint64_t MemoryBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.out.size();
-  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");
+  const std::uint64_t total = total_bytes(extents);
+  LeafOp op(*this, LeafOp::Kind::kRead, total, "memory");
   std::lock_guard lock(mutex_);
   for (const auto& e : extents) {
     APIO_INVARIANT(e.offset + e.out.size() >= e.offset,
@@ -82,7 +68,6 @@ std::uint64_t MemoryBackend::read_v(std::span<const ReadExtent> extents) {
     }
     std::memcpy(e.out.data(), data_.data() + e.offset, e.out.size());
   }
-  count_read(total);
   return total;
 }
 

@@ -12,10 +12,7 @@
 
 #include "common/debug/invariant.h"
 #include "common/error.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
-#include "obs/trace_context.h"
-#include "storage/obs_metrics.h"
+#include "storage/leaf_op.h"
 
 namespace apio::storage {
 namespace {
@@ -54,6 +51,69 @@ void write_fully(const PwriteFn& op, std::uint64_t offset,
   }
 }
 
+namespace {
+
+struct iovec to_iovec(const WriteExtent& e) {
+  return {const_cast<std::byte*>(e.data.data()), e.data.size()};
+}
+struct iovec to_iovec(const ReadExtent& e) {
+  return {e.out.data(), e.out.size()};
+}
+
+}  // namespace
+
+template <typename Extent>
+void transfer_vectored(const PvecFn& op, std::span<const Extent> extents,
+                       std::size_t iov_limit, const char* op_name,
+                       const char* zero_progress, const std::string& path) {
+  // Group file-contiguous extents into one call each (a gather from
+  // many memory spans into one contiguous file run), splitting batches
+  // at the iovec limit.  Partial transfers advance through the batch.
+  std::vector<struct iovec> iov;
+  std::size_t i = 0;
+  while (i < extents.size()) {
+    std::uint64_t offset = extents[i].offset;
+    std::uint64_t end = offset;
+    iov.clear();
+    while (i < extents.size() && iov.size() < iov_limit &&
+           extents[i].offset == end) {
+      iov.push_back(to_iovec(extents[i]));
+      end += iov.back().iov_len;
+      ++i;
+    }
+    std::size_t idx = 0;
+    while (idx < iov.size()) {
+      const long n = op(iov.data() + idx, static_cast<int>(iov.size() - idx),
+                        offset);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw_errno(std::string(op_name) + " failed for", path);
+      }
+      if (n == 0) {
+        throw IoError(std::string("posix backend: ") + zero_progress + " '" +
+                      path + "'");
+      }
+      offset += static_cast<std::uint64_t>(n);
+      std::size_t left = static_cast<std::size_t>(n);
+      while (idx < iov.size() && left >= iov[idx].iov_len) {
+        left -= iov[idx].iov_len;
+        ++idx;
+      }
+      if (idx < iov.size() && left > 0) {
+        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
+        iov[idx].iov_len -= left;
+      }
+    }
+  }
+}
+
+template void transfer_vectored(const PvecFn&, std::span<const WriteExtent>,
+                                std::size_t, const char*, const char*,
+                                const std::string&);
+template void transfer_vectored(const PvecFn&, std::span<const ReadExtent>,
+                                std::size_t, const char*, const char*,
+                                const std::string&);
+
 }  // namespace detail
 
 PosixBackend::PosixBackend(const std::string& path, Mode mode)
@@ -85,9 +145,7 @@ std::uint64_t PosixBackend::size() const {
 
 void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), out.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
-                               "posix");
+  LeafOp op(*this, LeafOp::Kind::kRead, out.size(), "posix");
   std::size_t done = 0;
   while (done < out.size()) {
     const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
@@ -101,120 +159,42 @@ void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
     }
     done += static_cast<std::size_t>(n);
   }
-  count_read(out.size());
 }
 
 void PosixBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), data.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
-                               "posix");
+  LeafOp op(*this, LeafOp::Kind::kWrite, data.size(), "posix");
   detail::write_fully(
       [this](const std::byte* buf, std::size_t len, std::uint64_t off) {
         return static_cast<long>(::pwrite(fd_, buf, len, static_cast<off_t>(off)));
       },
       offset, data, path_);
-  count_write(data.size());
 }
 
 std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.data.size();
-  obs::TimedOp op(storage_write_hist(), &storage_bytes_written(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
-
-  // Group file-contiguous extents into one pwritev each (a gather from
-  // many memory spans into one contiguous file run), splitting batches
-  // at the iovec limit.  Partial writes advance through the batch.
-  std::vector<struct iovec> iov;
-  std::size_t i = 0;
-  while (i < extents.size()) {
-    std::uint64_t start = extents[i].offset;
-    std::uint64_t end = start;
-    iov.clear();
-    while (i < extents.size() && iov.size() < iov_limit_ &&
-           extents[i].offset == end) {
-      iov.push_back({const_cast<std::byte*>(extents[i].data.data()),
-                     extents[i].data.size()});
-      end += extents[i].data.size();
-      ++i;
-    }
-    std::size_t idx = 0;
-    std::uint64_t offset = start;
-    while (idx < iov.size()) {
-      const ssize_t n = ::pwritev(fd_, iov.data() + idx,
-                                  static_cast<int>(iov.size() - idx),
-                                  static_cast<off_t>(offset));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("pwritev failed for", path_);
-      }
-      if (n == 0) {
-        throw IoError("posix backend: zero-progress vectored write to '" +
-                      path_ + "'");
-      }
-      offset += static_cast<std::uint64_t>(n);
-      std::size_t left = static_cast<std::size_t>(n);
-      while (idx < iov.size() && left >= iov[idx].iov_len) {
-        left -= iov[idx].iov_len;
-        ++idx;
-      }
-      if (idx < iov.size() && left > 0) {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
-        iov[idx].iov_len -= left;
-      }
-    }
-  }
-  count_write(total);
+  const std::uint64_t total = total_bytes(extents);
+  LeafOp op(*this, LeafOp::Kind::kWrite, total, "posix");
+  detail::transfer_vectored(
+      [this](const struct iovec* iov, int count, std::uint64_t off) {
+        return static_cast<long>(
+            ::pwritev(fd_, iov, count, static_cast<off_t>(off)));
+      },
+      extents, iov_limit_, "pwritev", "zero-progress vectored write to",
+      path_);
   return total;
 }
 
 std::uint64_t PosixBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.out.size();
-  obs::TimedOp op(storage_read_hist(), &storage_bytes_read(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
-
-  std::vector<struct iovec> iov;
-  std::size_t i = 0;
-  while (i < extents.size()) {
-    std::uint64_t start = extents[i].offset;
-    std::uint64_t end = start;
-    iov.clear();
-    while (i < extents.size() && iov.size() < iov_limit_ &&
-           extents[i].offset == end) {
-      iov.push_back({extents[i].out.data(), extents[i].out.size()});
-      end += extents[i].out.size();
-      ++i;
-    }
-    std::size_t idx = 0;
-    std::uint64_t offset = start;
-    while (idx < iov.size()) {
-      const ssize_t n = ::preadv(fd_, iov.data() + idx,
-                                 static_cast<int>(iov.size() - idx),
-                                 static_cast<off_t>(offset));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("preadv failed for", path_);
-      }
-      if (n == 0) {
-        throw IoError("posix backend: read past end of file '" + path_ + "'");
-      }
-      offset += static_cast<std::uint64_t>(n);
-      std::size_t left = static_cast<std::size_t>(n);
-      while (idx < iov.size() && left >= iov[idx].iov_len) {
-        left -= iov[idx].iov_len;
-        ++idx;
-      }
-      if (idx < iov.size() && left > 0) {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
-        iov[idx].iov_len -= left;
-      }
-    }
-  }
-  count_read(total);
+  const std::uint64_t total = total_bytes(extents);
+  LeafOp op(*this, LeafOp::Kind::kRead, total, "posix");
+  detail::transfer_vectored(
+      [this](const struct iovec* iov, int count, std::uint64_t off) {
+        return static_cast<long>(
+            ::preadv(fd_, iov, count, static_cast<off_t>(off)));
+      },
+      extents, iov_limit_, "preadv", "read past end of file", path_);
   return total;
 }
 

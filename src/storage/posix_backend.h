@@ -4,9 +4,11 @@
 // selection costs one syscall per contiguous file run.
 #pragma once
 
-#include <atomic>
+#include <sys/uio.h>
+
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "storage/backend.h"
@@ -27,6 +29,22 @@ using PwriteFn =
 /// (regression: the old loop treated 0 as retryable and hung).
 void write_fully(const PwriteFn& op, std::uint64_t offset,
                  std::span<const std::byte> data, const std::string& path);
+
+/// A positional vectored primitive with pwritev/preadv's signature,
+/// injectable for tests.  Returns bytes moved, or -1 with errno set.
+using PvecFn = std::function<long(const struct iovec* iov, int count,
+                                  std::uint64_t offset)>;
+
+/// Moves every extent (sorted, non-overlapping) through `op`: one call
+/// per file-contiguous run of at most `iov_limit` extents, EINTR
+/// retried, short counts advanced through the batch.  A negative return
+/// throws IoError "<op_name> failed for '<path>': <strerror>"; a return
+/// of 0 throws IoError "posix backend: <zero_progress> '<path>'".
+/// Instantiated for WriteExtent and ReadExtent.
+template <typename Extent>
+void transfer_vectored(const PvecFn& op, std::span<const Extent> extents,
+                       std::size_t iov_limit, const char* op_name,
+                       const char* zero_progress, const std::string& path);
 
 }  // namespace detail
 

@@ -1,7 +1,5 @@
 #include "storage/qos_backend.h"
 
-#include <numeric>
-
 #include "common/error.h"
 #include "obs/trace_context.h"
 
@@ -69,18 +67,14 @@ void QosBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
 }
 
 std::uint64_t QosBackend::write_v(std::span<const WriteExtent> extents) {
-  const std::uint64_t total = std::accumulate(
-      extents.begin(), extents.end(), std::uint64_t{0},
-      [](std::uint64_t n, const WriteExtent& e) { return n + e.data.size(); });
+  const std::uint64_t total = total_bytes(extents);
   Admission grant(*scheduler_, request_for(obs::IoOp::kWrite, total));
   obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, total);
   return inner_->write_v(extents);
 }
 
 std::uint64_t QosBackend::read_v(std::span<const ReadExtent> extents) {
-  const std::uint64_t total = std::accumulate(
-      extents.begin(), extents.end(), std::uint64_t{0},
-      [](std::uint64_t n, const ReadExtent& e) { return n + e.out.size(); });
+  const std::uint64_t total = total_bytes(extents);
   Admission grant(*scheduler_, request_for(obs::IoOp::kRead, total));
   obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, total);
   return inner_->read_v(extents);

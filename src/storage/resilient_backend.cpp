@@ -41,7 +41,6 @@ void ResilientBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
                                "resilient");
   run([&] { inner_->read(offset, out); });
-  count_read(out.size());
 }
 
 void ResilientBackend::write(std::uint64_t offset,
@@ -49,12 +48,10 @@ void ResilientBackend::write(std::uint64_t offset,
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
                                "resilient");
   run([&] { inner_->write(offset, data); });
-  count_write(data.size());
 }
 
 void ResilientBackend::flush() {
   run([&] { inner_->flush(); });
-  count_flush();
 }
 
 }  // namespace apio::storage

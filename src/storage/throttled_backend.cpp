@@ -64,7 +64,6 @@ void ThrottledBackend::read(std::uint64_t offset, std::span<std::byte> out) {
                                "throttled");
   throttle(out.size());
   inner_->read(offset, out);
-  count_read(out.size());
 }
 
 void ThrottledBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
@@ -72,32 +71,20 @@ void ThrottledBackend::write(std::uint64_t offset, std::span<const std::byte> da
                                "throttled");
   throttle(data.size());
   inner_->write(offset, data);
-  count_write(data.size());
 }
 
 std::uint64_t ThrottledBackend::write_v(std::span<const WriteExtent> extents) {
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.data.size();
+  const std::uint64_t total = total_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "throttled");
   throttle(total);
-  const std::uint64_t moved = inner_->write_v(extents);
-  count_write(moved);
-  return moved;
+  return inner_->write_v(extents);
 }
 
 std::uint64_t ThrottledBackend::read_v(std::span<const ReadExtent> extents) {
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.out.size();
+  const std::uint64_t total = total_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "throttled");
   throttle(total);
-  const std::uint64_t moved = inner_->read_v(extents);
-  count_read(moved);
-  return moved;
-}
-
-void ThrottledBackend::flush() {
-  inner_->flush();
-  count_flush();
+  return inner_->read_v(extents);
 }
 
 double ThrottledBackend::modelled_delay_seconds() const {

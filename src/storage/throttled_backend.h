@@ -41,7 +41,7 @@ class ThrottledBackend final : public Backend {
       std::span<const WriteExtent> extents) override;
   [[nodiscard]] std::uint64_t read_v(
       std::span<const ReadExtent> extents) override;
-  void flush() override;
+  void flush() override { inner_->flush(); }
   void close() override { inner_->close(); }
   void truncate(std::uint64_t new_size) override { inner_->truncate(new_size); }
   std::string name() const override { return "throttled(" + inner_->name() + ")"; }

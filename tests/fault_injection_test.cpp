@@ -44,7 +44,7 @@ TEST(FaultyBackendTest, ReadFaultsAndHealing) {
 
 TEST(FaultyBackendTest, FlushFaults) {
   FaultPlan plan;
-  plan.fail_flush = true;
+  plan.fail_flushes_after = 0;
   FaultyBackend backend(std::make_shared<storage::MemoryBackend>(), plan);
   EXPECT_THROW(backend.flush(), IoError);
 }
@@ -137,7 +137,7 @@ TEST(FaultInjectionTest, PrefetchFaultSurfacesOnConsumingRead) {
 
 TEST(FaultInjectionTest, FlushFaultPropagatesThroughConnector) {
   FaultPlan plan;
-  plan.fail_flush = true;
+  plan.fail_flushes_after = 0;
   auto backend = std::make_shared<FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), plan);
   auto file = h5::File::create(backend);

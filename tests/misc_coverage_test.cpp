@@ -52,15 +52,16 @@ TEST(ThrottledBackendTest, IndependentChannelDoesNotQueue) {
   params.latency = 0.0;
   params.time_scale = 0.0;
   params.shared_channel = false;
-  storage::ThrottledBackend backend(std::make_shared<storage::MemoryBackend>(),
-                                    params);
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  storage::ThrottledBackend backend(leaf, params);
   std::vector<std::byte> data(500, std::byte{1});
   backend.write(0, data);
   backend.write(500, data);
   // Independent delays accumulate in the model either way; the contract
-  // here is just that both ops complete and are accounted.
+  // here is just that both ops complete and are accounted (at the leaf,
+  // which performed them).
   EXPECT_NEAR(backend.modelled_delay_seconds(), 1.0, 1e-9);
-  EXPECT_EQ(backend.stats().write_ops, 2u);
+  EXPECT_EQ(leaf->stats().write_ops, 2u);
 }
 
 TEST(PmpiSplitTest, SubCommunicatorCanSplitAgain) {

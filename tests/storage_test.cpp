@@ -7,6 +7,10 @@
 
 #include "common/error.h"
 #include "common/units.h"
+#include "resilience/retry.h"
+#include "sched/fair_scheduler.h"
+#include "storage/backend_stack.h"
+#include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
 #include "storage/pfs_model.h"
 #include "storage/posix_backend.h"
@@ -188,6 +192,90 @@ TEST(PosixBackendTest, CreateTruncateClearsOldContent) {
     EXPECT_EQ(b.size(), 0u);
   }
   std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// BackendStats: one count per physical transfer, at the leaf.
+
+void expect_stats(const BackendStats& got, const BackendStats& want,
+                  const std::string& layer) {
+  EXPECT_EQ(got.bytes_read, want.bytes_read) << layer;
+  EXPECT_EQ(got.bytes_written, want.bytes_written) << layer;
+  EXPECT_EQ(got.read_ops, want.read_ops) << layer;
+  EXPECT_EQ(got.write_ops, want.write_ops) << layer;
+  EXPECT_EQ(got.flushes, want.flushes) << layer;
+}
+
+TEST(BackendStatsTest, OnlyTheLeafCountsThroughTheFullStack) {
+  auto leaf = std::make_shared<MemoryBackend>();
+  const std::vector<std::byte> base(4096, std::byte{7});
+  leaf->write(0, base);  // pre-existing PFS data: one leaf write
+
+  FaultPlan plan;
+  plan.fail_every_n_writes = 3;  // every third write reaching the PFS...
+  plan.transient = true;         // ...fails transiently (and is retried)
+  auto faulty = std::make_shared<FaultyBackend>(leaf, plan);
+
+  ThrottleParams throttle;
+  throttle.bandwidth = 1e12;
+  throttle.time_scale = 0.0;
+  resilience::ManualClock clock;
+  ResilienceOptions resilience;
+  resilience.retry.max_attempts = 3;
+  CacheOptions cache;
+  cache.consistency = CacheConsistency::kAfterClose;
+  cache.block_bytes = 4096;
+
+  BackendStack stack = BackendStack::wrap(faulty);
+  const BackendPtr throttled = stack.throttled(throttle).build();
+  const BackendPtr resilient =
+      stack.resilient(resilience, &clock, &clock).build();
+  const BackendPtr qos =
+      stack.qos(std::make_shared<sched::FairScheduler>()).build();
+  const BackendPtr cached = stack.cached(cache).build();
+  ASSERT_EQ(cached->name(),
+            "cached[after-close](qos(resilient(throttled(faulty(memory)))))");
+
+  // Four disjoint staged writes (drained as four extents at close).
+  const std::uint64_t offsets[] = {8192, 12288, 20480, 24576};
+  const std::size_t sizes[] = {1000, 2000, 500, 300};
+  std::uint64_t staged = 0;
+  for (int i = 0; i < 4; ++i) {
+    cached->write(offsets[i], std::vector<std::byte>(sizes[i], std::byte{1}));
+    staged += sizes[i];
+  }
+  std::vector<std::byte> out(1024);
+  cached->read(0, out);  // miss: one leaf read fills staging
+  cached->read(0, out);  // hit: served from staging
+  cached->close();       // drain: four leaf writes (one retried) + a flush
+
+  auto* retry = dynamic_cast<ResilientBackend*>(resilient.get());
+  auto* cache_tier = dynamic_cast<CachedBackend*>(cached.get());
+  ASSERT_NE(retry, nullptr);
+  ASSERT_NE(cache_tier, nullptr);
+  EXPECT_EQ(faulty->faults_injected(), 1u);  // the third drained extent
+  EXPECT_EQ(retry->retries(), 1u);
+
+  // A faulted attempt never reaches the leaf, so the leaf saw exactly
+  // one transfer per extent, the miss fill and the drain's flush.
+  BackendStats physical;
+  physical.write_ops = 1 + 4;
+  physical.bytes_written = base.size() + staged;
+  physical.read_ops = 1;
+  physical.bytes_read = out.size();
+  physical.flushes = 1;
+  expect_stats(leaf->stats(), physical, "memory leaf");
+  const CacheSnapshot snap = cache_tier->cache_snapshot();
+  EXPECT_EQ(snap.flushed_bytes, leaf->stats().bytes_written - base.size());
+  EXPECT_EQ(snap.miss_bytes, leaf->stats().bytes_read);
+  EXPECT_EQ(snap.hits, 1u);
+
+  const std::pair<const char*, BackendPtr> decorators[] = {
+      {"faulty", faulty},       {"throttled", throttled}, {"resilient", resilient},
+      {"qos", qos},             {"cached", cached}};
+  for (const auto& [layer, backend] : decorators) {
+    expect_stats(backend->stats(), BackendStats{}, layer);
+  }
 }
 
 // ---------------------------------------------------------------------------

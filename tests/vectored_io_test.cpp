@@ -6,9 +6,12 @@
 // path, with byte-identical read-back.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -157,6 +160,90 @@ TEST(VectoredBackendTest, WriteFullyTreatsZeroProgressAsError) {
   };
   storage::detail::write_fully(flaky, 0, data, "test-path");
   EXPECT_EQ(calls, 2);
+}
+
+// Drives detail::transfer_vectored with a fake pwritev that lands at
+// most `budget` bytes per call into `file`, scripted per call: a value
+// >= 0 caps that call, kEintr fails it with EINTR.
+struct FakePwritev {
+  static constexpr long kEintr = -1;
+  std::vector<long> script;  // per-call caps; past the end: unlimited
+  std::vector<std::byte> file = std::vector<std::byte>(64);
+  std::vector<int> iov_counts;
+
+  long operator()(const struct iovec* iov, int count, std::uint64_t offset) {
+    const std::size_t call = iov_counts.size();
+    iov_counts.push_back(count);
+    long budget = call < script.size() ? script[call] : LONG_MAX;
+    if (budget == kEintr) {
+      errno = EINTR;
+      return -1;
+    }
+    long moved = 0;
+    for (int i = 0; i < count && budget > 0; ++i) {
+      const auto n = std::min<long>(budget, static_cast<long>(iov[i].iov_len));
+      std::memcpy(file.data() + offset + moved, iov[i].iov_base,
+                  static_cast<std::size_t>(n));
+      moved += n;
+      budget -= n;
+    }
+    return moved;
+  }
+};
+
+TEST(VectoredBackendTest, TransferVectoredAdvancesThroughShortCountsAndEintr) {
+  const auto a = pattern_bytes(10, 1);
+  const auto b = pattern_bytes(6, 2);
+  const auto c = pattern_bytes(8, 3);
+  // a and b are file-adjacent (one batch); c sits past a gap.
+  const std::vector<WriteExtent> writes{{0, a}, {10, b}, {32, c}};
+  const auto expect_landed = [&](const FakePwritev& fake) {
+    EXPECT_EQ(0, std::memcmp(fake.file.data(), a.data(), a.size()));
+    EXPECT_EQ(0, std::memcmp(fake.file.data() + 10, b.data(), b.size()));
+    EXPECT_EQ(0, std::memcmp(fake.file.data() + 32, c.data(), c.size()));
+  };
+  const auto run = [&](FakePwritev& fake) {
+    storage::detail::transfer_vectored(
+        std::ref(fake), std::span<const WriteExtent>(writes), 16, "pwritev",
+        "zero-progress vectored write to", "test-path");
+  };
+
+  // Short counts: 4 bytes (inside a), 9 (rest of a + part of b), 3 (rest
+  // of b) finish the first batch; c goes in 2 + the remainder.
+  FakePwritev shorts;
+  shorts.script = {4, 9, 3, 2};
+  run(shorts);
+  expect_landed(shorts);
+  EXPECT_EQ(shorts.iov_counts, (std::vector<int>{2, 2, 1, 1, 1}));
+
+  // EINTR is retried with the same batch, then progress completes it.
+  FakePwritev eintr;
+  eintr.script = {FakePwritev::kEintr, 5, FakePwritev::kEintr};
+  run(eintr);
+  expect_landed(eintr);
+  EXPECT_EQ(eintr.iov_counts, (std::vector<int>{2, 2, 2, 2, 1}));
+
+  // A return of 0 is no progress: IoError, not a spin.
+  FakePwritev stuck;
+  stuck.script = {4, 0};
+  try {
+    run(stuck);
+    ADD_FAILURE() << "zero progress must throw";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "posix backend: zero-progress vectored write to 'test-path'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(stuck.iov_counts.size(), 2u);  // must not loop
+
+  // The iovec limit splits a contiguous run into several calls.
+  FakePwritev split;
+  storage::detail::transfer_vectored(
+      std::ref(split), std::span<const WriteExtent>(writes), 1, "pwritev",
+      "zero-progress vectored write to", "test-path");
+  expect_landed(split);
+  EXPECT_EQ(split.iov_counts, (std::vector<int>{1, 1, 1}));
 }
 
 TEST(VectoredBackendTest, FaultyBackendFaultsMidBatchLeavingPrefix) {

@@ -30,6 +30,14 @@
 //                 A second retry loop (say, in the async connector)
 //                 would stack its attempts on top of the backend
 //                 stack's and split the retry accounting.
+//   leaf-count    one physical transfer, one count: under src/, only
+//                 the leaves (storage/memory_backend.*,
+//                 storage/posix_backend.*) and the headers declaring the
+//                 hooks (storage/backend.h, storage/leaf_op.h) may name
+//                 a BackendStats count hook (Backend::LeafOp,
+//                 count_flush; count_read/count_write are reserved for
+//                 the same role).  A decorator that counted too would
+//                 report the transfer a second time.
 //   cached-backend  storage::CachedBackend must be constructed through
 //                 BackendStack::cached(), never directly: the stack
 //                 builder is what enforces the decorator-order
@@ -115,6 +123,12 @@ void lint_file(const fs::path& root, const fs::path& file) {
   const bool may_retry = path_under(file, root / "src" / "resilience") ||
                          file.filename() == "resilient_backend.h" ||
                          file.filename() == "resilient_backend.cpp";
+  const bool may_count = file.filename() == "memory_backend.h" ||
+                         file.filename() == "memory_backend.cpp" ||
+                         file.filename() == "posix_backend.h" ||
+                         file.filename() == "posix_backend.cpp" ||
+                         file.filename() == "backend.h" ||
+                         file.filename() == "leaf_op.h";
   const bool is_cached_backend_impl =
       file.filename() == "cached_backend.h" ||
       file.filename() == "cached_backend.cpp" ||
@@ -174,6 +188,16 @@ void lint_file(const fs::path& root, const fs::path& file) {
              "retry lives in storage::ResilientBackend (run_with_retry); "
              "wrap the backend with BackendStack::resilient() instead of "
              "adding a second retry loop");
+    }
+
+    if (in_src && !may_count &&
+        (has_token(code, "count_read") || has_token(code, "count_write") ||
+         has_token(code, "count_flush") || has_token(code, "LeafOp")) &&
+        !waived(raw, "leaf-count")) {
+      report(sf.path, lineno, "leaf-count",
+             "BackendStats count physical transfers, and only leaves "
+             "(memory, posix) perform them; a decorator forwards to its "
+             "inner backend and must not count the transfer again");
     }
 
     if (!is_cached_backend_impl &&
